@@ -1,0 +1,8 @@
+"""Self-tests of the benchmark harness: ``python3 -m pytest perfbench/tests``."""
+
+import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE.parent.parent / "src"))
