@@ -663,17 +663,44 @@ class AnalysisEngine:
             self._key(input_probs)
         )
         values = list(detection.values())
-        try:
-            n: "int | None" = required_test_length(values, confidence, fraction)
-        except EstimationError:
-            n = None
+        lengths = self._test_lengths(
+            values, (confidence,), (fraction,), timings
+        )
         return TestLengthResult(
             provenance=self._provenance(timings, cached),
             confidence=confidence,
             fraction=fraction,
-            n_patterns=n,
+            n_patterns=lengths[(fraction, confidence)],
             n_faults=len(values),
         )
+
+    def _test_lengths(
+        self,
+        values: Sequence[float],
+        confidences: Sequence[float],
+        fractions: Sequence[float],
+        timings: Dict[str, float],
+    ) -> Dict[Tuple[float, float], Optional[int]]:
+        """Formula (3) per (fraction, confidence); ``None`` if unreachable.
+
+        Records the stage as ``timings["testlen"]`` and an
+        ``engine.testlen`` span / profiler phase.
+        """
+        lengths: Dict[Tuple[float, float], Optional[int]] = {}
+        with self._profiled(), span(
+            "engine.testlen", circuit=self.circuit.name
+        ) as stage:
+            for fraction in fractions:
+                for confidence in confidences:
+                    try:
+                        n: "int | None" = required_test_length(
+                            values, confidence, fraction
+                        )
+                    except EstimationError:
+                        n = None
+                    lengths[(fraction, confidence)] = n
+        timings["testlen"] = stage.duration
+        return lengths
 
     def expected_coverage(
         self,
@@ -795,15 +822,7 @@ class AnalysisEngine:
         detection, timings, cached = self._detection_for(key)
         ranked = sorted(detection.items(), key=lambda item: item[1])
         values = sorted(detection.values())
-        lengths: Dict[Tuple[float, float], Optional[int]] = {}
-        for fraction in fractions:
-            for confidence in confidences:
-                try:
-                    lengths[(fraction, confidence)] = required_test_length(
-                        values, confidence, fraction
-                    )
-                except EstimationError:
-                    lengths[(fraction, confidence)] = None
+        lengths = self._test_lengths(values, confidences, fractions, timings)
         return TestabilityReport(
             circuit_name=self.circuit.name,
             n_faults=len(detection),
@@ -939,15 +958,7 @@ class AnalysisEngine:
             state_hook=state_hook, resume=resume,
         )
         values = sorted(iv.estimate for iv in sample.intervals.values())
-        lengths: Dict[Tuple[float, float], Optional[int]] = {}
-        for fraction in fractions:
-            for confidence in confidences:
-                try:
-                    lengths[(fraction, confidence)] = required_test_length(
-                        values, confidence, fraction
-                    )
-                except EstimationError:
-                    lengths[(fraction, confidence)] = None
+        lengths = self._test_lengths(values, confidences, fractions, timings)
         return self._sampled_report(sample, timings, cached, lengths)
 
     def cross_validate(

@@ -102,9 +102,13 @@ def test_results_carry_provenance(engine):
     assert report.provenance.circuit == "c17"
     assert report.provenance.config_hash == engine.config.config_hash
     assert "detection" in report.provenance.timings
-    # A second analyze is served from cache and says so.
+    assert report.provenance.timings["testlen"] > 0.0
+    # A second analyze is served from cache and says so; the test
+    # lengths are not cached and are timed again.
     again = engine.analyze()
     assert "detection" in again.provenance.cached
+    assert "testlen" in again.provenance.timings
+    assert "testlen" in engine.test_length(0.95).provenance.timings
 
 
 def test_test_length_matches_facade_values(engine):

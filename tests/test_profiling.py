@@ -190,6 +190,7 @@ class TestEngineProfile:
         payload = engine.profile_report()
         paths = {row["path"] for row in payload["phases"]}
         assert "engine.signal;estimator.influence" in paths
+        assert "engine.testlen" in paths
         assert any("estimator.cone_schedule" in path for path in paths)
         memory = payload["memory"]
         assert memory["peak_rss_bytes"] > 0

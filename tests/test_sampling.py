@@ -288,6 +288,7 @@ def test_engine_sampled_report_contents():
     assert report.coverage.low == report.coverage.high == report.coverage.estimate
     assert report.convergence[-1][0] == report.n_patterns
     assert report.provenance.config_hash == engine.config.config_hash
+    assert report.provenance.timings["testlen"] > 0.0
     text = report.to_text()
     assert "Monte-Carlo grading of" in text
     assert "[" in text  # intervals rendered
