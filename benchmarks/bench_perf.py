@@ -6,7 +6,8 @@ vs. the pre-kernel legacy interpreters kept for parity):
 * **logic sim** — true-value patterns/sec (:func:`repro.logicsim.simulate`);
 * **fault sim** — faults x patterns/sec (``FaultSimulator.run`` without
   fault dropping, the paper's ``P_SIM`` workload);
-* **analyze** — end-to-end ``AnalysisEngine.analyze()`` wall time.
+* **analyze** — end-to-end ``AnalysisEngine.analyze()`` wall time (one
+  column: the analytic stages have no legacy path).
 
 When numpy is installed the logic-sim and fault-sim rows additionally
 record the numpy word backend (:mod:`repro.backends`) *at this bench's
@@ -161,16 +162,12 @@ def bench_telemetry_overhead(circuit, n_patterns, repeats):
 
 
 def bench_analyze(name):
-    out = {}
-    for label, use_kernel in (("kernel", True), ("legacy", False)):
-        # A fresh circuit object per path: nothing precompiled is reused,
-        # so the kernel side pays its own compile time.
-        engine = AnalysisEngine(build(name), "paper", use_kernel=use_kernel)
-        start = time.perf_counter()
-        engine.analyze()
-        out[f"{label}_s"] = time.perf_counter() - start
-    out["speedup"] = out["legacy_s"] / out["kernel_s"]
-    return out
+    # A fresh circuit object: nothing precompiled is reused, so the run
+    # pays its own compile time.
+    engine = AnalysisEngine(build(name), "paper")
+    start = time.perf_counter()
+    engine.analyze()
+    return {"kernel_s": time.perf_counter() - start}
 
 
 def run(circuits, sim_patterns, fsim_patterns, repeats, mode):
@@ -201,10 +198,7 @@ def run(circuits, sim_patterns, fsim_patterns, repeats, mode):
                            "n_faults": fsim["n_faults"]},
                 )
         analyze = bench_analyze(name)
-        print(
-            f"  analyze    : {analyze['kernel_s']:.2f}s "
-            f"(x{analyze['speedup']:.1f} vs legacy)", flush=True,
-        )
+        print(f"  analyze    : {analyze['kernel_s']:.2f}s", flush=True)
         results[name] = {
             "n_gates": circuit.n_gates,
             "logic_sim": logic,
@@ -239,7 +233,6 @@ def run(circuits, sim_patterns, fsim_patterns, repeats, mode):
         "largest_circuit": largest,
         "acceptance": {
             "fault_sim_speedup_largest": results[largest]["fault_sim"]["speedup"],
-            "analyze_speedup_largest": results[largest]["analyze"]["speedup"],
         },
     }
 
@@ -276,8 +269,7 @@ def main(argv=None):
     acceptance = payload["acceptance"]
     print(
         f"\nlargest circuit {payload['largest_circuit']}: "
-        f"fault sim x{acceptance['fault_sim_speedup_largest']:.1f}, "
-        f"analyze x{acceptance['analyze_speedup_largest']:.1f}\n"
+        f"fault sim x{acceptance['fault_sim_speedup_largest']:.1f}\n"
         f"wrote {out}"
     )
     return 0

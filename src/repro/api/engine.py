@@ -71,6 +71,7 @@ from repro.telemetry.profiling import (
     PhaseProfiler,
     active_profiler,
     peak_rss_bytes,
+    phase_if_active,
 )
 from repro.telemetry.tracing import span
 from repro.testlen.length import expected_coverage as _expected_coverage
@@ -125,13 +126,14 @@ class AnalysisEngine:
         Optional explicit fault list; defaults to the config-shaped
         uncollapsed stuck-at universe.
     use_kernel:
-        When true (the default) every stage runs on the shared compiled
-        flat-array kernel (:mod:`repro.kernel`) through the evaluation
-        backend selected by ``config.backend`` (:mod:`repro.backends`;
-        ``"auto"`` picks the numpy word engine for large circuits when
-        numpy is importable).  ``False`` selects the legacy interpreters
-        throughout — the numerically identical parity reference the
-        perf bench measures against.
+        When true (the default) the simulation and sampling stages run
+        on the shared compiled flat-array kernel (:mod:`repro.kernel`)
+        through the evaluation backend selected by ``config.backend``
+        (:mod:`repro.backends`; ``"auto"`` picks the numpy word engine
+        for large circuits when numpy is importable).  ``False`` selects
+        the legacy simulation interpreters — the bit-identical parity
+        reference.  The analytic stages always run the compiled
+        estimator.
     registry:
         Optional shared :class:`~repro.telemetry.metrics.MetricsRegistry`
         for the stage counters (the service's job manager passes its
@@ -250,7 +252,7 @@ class AnalysisEngine:
     def topology(self) -> Topology:
         with self._lock:
             if self._topology is None:
-                self._topology = Topology(self.circuit, cache=self.use_kernel)
+                self._topology = Topology(self.circuit)
             return self._topology
 
     @property
@@ -320,14 +322,17 @@ class AnalysisEngine:
     def detector(self) -> DetectionProbabilityEstimator:
         with self._lock:
             if self._detector is None:
-                self._detector = DetectionProbabilityEstimator(
-                    self.circuit,
-                    self.config.estimator_params(),
-                    self.config.stem_model,
-                    self.config.pin_model,
-                    self.topology,
-                    use_kernel=self.use_kernel,
-                )
+                # Built inside the first stage that needs it; the phase
+                # keeps the one-off structure build out of that stage's
+                # self time under --profile.
+                with phase_if_active("estimator.setup"):
+                    self._detector = DetectionProbabilityEstimator(
+                        self.circuit,
+                        self.config.estimator_params(),
+                        self.config.stem_model,
+                        self.config.pin_model,
+                        self.topology,
+                    )
             return self._detector
 
     @property
@@ -570,7 +575,7 @@ class AnalysisEngine:
         # evaluator is not backend-dispatched, so an analytic report
         # must not claim the engine's nominally resolved backend.
         if backend is None:
-            backend = "python" if self.use_kernel else "legacy"
+            backend = "python"
         return Provenance(
             circuit=self.circuit.name,
             config_hash=self.config.config_hash,

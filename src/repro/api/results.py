@@ -63,9 +63,9 @@ class Provenance:
     records which evaluation engine (:mod:`repro.backends`) actually ran
     — the *resolved* name, never ``"auto"`` — so sweep cells computed on
     different workers remain attributable.  Analytic stages always run
-    on the python kernel (``"legacy"`` off-kernel) regardless of the
-    configured backend; only packed-pattern stages (fault simulation,
-    Monte-Carlo grading) record the configured engine.
+    on the python kernel (``"python"``) regardless of the configured
+    backend; only packed-pattern stages (fault simulation, Monte-Carlo
+    grading) record the engine that ran them.
     """
 
     circuit: str

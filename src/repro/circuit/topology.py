@@ -1,15 +1,14 @@
-"""Structural analysis: fan-out, levels, cones and joining points.
+"""Structural analysis by node name: fan-out, levels and cones.
 
-The joining-point machinery implements the paper's Fig. 2 definition: for
-two nodes ``a`` and ``b``, the set ``V(a, b)`` consists of the nodes with at
-least two immediate successors, one of which lies on a path to ``a`` and
-another on a path to ``b``.  A gate output exhibits reconvergent fan-out
-exactly when ``V(a, b)`` of its input pair is non-empty.
+The estimator's depth-bounded fan-in, joining-point and forward-cone
+queries run on compiled node ids (:mod:`repro.probability.conditional`);
+this module serves the name-level views the observability, fault-list
+and baseline analyses walk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.circuit.netlist import Circuit, Pin
 
@@ -20,13 +19,10 @@ class Topology:
     """Derived structural views over a :class:`Circuit`.
 
     The object is cheap to construct (one pass over the gates); expensive
-    cone queries are computed lazily and cached.  ``cache=False`` disables
-    the ``bounded_tfi`` memoization (the estimator's hot query), restoring
-    the recompute-every-call behaviour — the legacy baseline the perf
-    bench and the kernel parity tests measure against.
+    cone queries are computed lazily and cached.
     """
 
-    def __init__(self, circuit: Circuit, cache: bool = True) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
         #: Consumers of each node as ``(gate_name, pin_index)`` pairs.
         self.branches: Dict[str, Tuple[Pin, ...]] = {}
@@ -42,10 +38,6 @@ class Topology:
         self.level: Dict[str, int] = self._compute_levels()
         self._tfo_cache: Dict[str, Tuple[str, ...]] = {}
         self._tfi_cache: Dict[str, FrozenSet[str]] = {}
-        self._cache_bounded = cache
-        self._bounded_tfi_cache: Dict[
-            "tuple[str, int | None]", FrozenSet[str]
-        ] = {}
 
     # -- elementary views -------------------------------------------------------
 
@@ -114,120 +106,3 @@ class Topology:
         result = frozenset(seen)
         self._tfi_cache[node] = result
         return result
-
-    def bounded_tfi(self, node: str, max_depth: "int | None") -> Set[str]:
-        """Transitive fan-in of ``node`` up to ``max_depth`` edges back.
-
-        Includes ``node`` itself.  ``max_depth=None`` means unbounded.
-        Results are memoized per ``(node, max_depth)`` (as frozensets —
-        treat them as read-only); the estimator issues this query once per
-        conditional-probability evaluation on a small recurring node set.
-        """
-        if self._cache_bounded:
-            key = (node, max_depth)
-            cached = self._bounded_tfi_cache.get(key)
-            if cached is None:
-                cached = frozenset(self._bounded_tfi(node, max_depth))
-                self._bounded_tfi_cache[key] = cached
-            return cached
-        return self._bounded_tfi(node, max_depth)
-
-    def _bounded_tfi(self, node: str, max_depth: "int | None") -> Set[str]:
-        """Uncached depth-bounded fan-in walk (see :meth:`bounded_tfi`)."""
-        if max_depth is None:
-            return set(self.tfi(node))
-        circuit = self.circuit
-        seen: Dict[str, int] = {node: 0}
-        frontier = [node]
-        depth = 0
-        while frontier and depth < max_depth:
-            depth += 1
-            next_frontier: List[str] = []
-            for current in frontier:
-                if circuit.is_input(current):
-                    continue
-                for src in circuit.gates[current].inputs:
-                    if src not in seen:
-                        seen[src] = depth
-                        next_frontier.append(src)
-            frontier = next_frontier
-        return set(seen)
-
-    # -- joining points -------------------------------------------------------------
-
-    def joining_points(
-        self,
-        nodes: Sequence[str],
-        max_depth: "int | None" = None,
-    ) -> List[str]:
-        """Joining points ``V`` of a tuple of nodes (typically gate inputs).
-
-        A node ``x`` belongs to ``V`` when it has at least two fan-out
-        branches and lies in the (depth-bounded) transitive fan-in of at
-        least two *distinct pins* of the tuple.  Repeated nodes in ``nodes``
-        (a gate fed twice from the same signal) therefore make that node its
-        own joining point, matching the paper's definition.
-
-        The result is sorted topologically (inputs first).
-        """
-        if len(nodes) < 2:
-            return []
-        tfis = [self.bounded_tfi(node, max_depth) for node in nodes]
-        candidates: Dict[str, int] = {}
-        for i, tfi in enumerate(tfis):
-            for node in tfi:
-                candidates[node] = candidates.get(node, 0) + 1
-        seen_twice = {node for node, hits in candidates.items() if hits >= 2}
-        # A literal repeat like AND(a, a) never counts twice above because the
-        # two pins have identical fan-in sets; handle it explicitly.
-        duplicates = {
-            node for i, node in enumerate(nodes) if node in nodes[:i]
-        }
-        seen_twice |= duplicates
-        result = [
-            node
-            for node in seen_twice
-            if len(self.branches[node]) >= 2
-        ]
-        result.sort(key=self.topo_index.__getitem__)
-        return result
-
-    def is_reconvergent(self, gate_name: str,
-                        max_depth: "int | None" = None) -> bool:
-        """True when the gate's inputs share at least one joining point."""
-        gate = self.circuit.gates[gate_name]
-        return bool(self.joining_points(gate.inputs, max_depth))
-
-    def reconvergent_gates(self, max_depth: "int | None" = None) -> List[str]:
-        """All gates with reconvergent fan-out at their inputs."""
-        return [
-            name
-            for name in self.circuit.gates
-            if self.is_reconvergent(name, max_depth)
-        ]
-
-    # -- conditional-evaluation support ----------------------------------------------
-
-    def forward_cone_within(
-        self,
-        sources: Iterable[str],
-        allowed: Set[str],
-    ) -> List[str]:
-        """Gate nodes reachable from ``sources`` while staying in ``allowed``.
-
-        Returns the gates (not the sources) in topological order; this is the
-        re-evaluation schedule for a conditional probability query whose
-        relevant region is ``allowed`` (usually a bounded TFI of the target).
-        """
-        seen: Set[str] = set()
-        stack = [s for s in sources if s in allowed]
-        cone: Set[str] = set()
-        while stack:
-            current = stack.pop()
-            for gate_name, _pin in self.branches[current]:
-                if gate_name in seen or gate_name not in allowed:
-                    continue
-                seen.add(gate_name)
-                cone.add(gate_name)
-                stack.append(gate_name)
-        return sorted(cone, key=self.topo_index.__getitem__)

@@ -64,13 +64,10 @@ class DetectionProbabilityEstimator:
         stem_model: str = "chain",
         pin_model: str = "boolean_difference",
         topology: "Topology | None" = None,
-        use_kernel: bool = True,
     ) -> None:
         self.circuit = circuit
-        self.topology = topology or Topology(circuit, cache=use_kernel)
-        self.signal_estimator = SignalProbabilityEstimator(
-            circuit, params, self.topology, use_kernel=use_kernel
-        )
+        self.topology = topology or Topology(circuit)
+        self.signal_estimator = SignalProbabilityEstimator(circuit, params)
         self.observability_analyzer = ObservabilityAnalyzer(
             circuit, stem_model, pin_model, self.topology
         )

@@ -10,15 +10,16 @@ if-chains in the hot loops):
   overlay array when its version stamp is current and from the good
   array otherwise (the fault-cone re-evaluation primitive):
   ``fn(faulty, stamp, version, good, args, mask, table) -> word``;
-* **float overlay** — the tree rule of [AgAg75] over a conditioned
-  overlay: stamped operands read the scratch array, unstamped ones fall
-  back to the base estimate mapping (the conditional-probability cone
-  primitive): ``fn(scratch, stamp, version, base, names, args, table)``.
+* **float** — the tree rule of [AgAg75] over one flat probability
+  array indexed by compiled node id: ``fn(w, args, table) -> float``.
+  The estimator evaluates unconditioned gates on its base estimates
+  and replays conditional cones on a working copy of them (see
+  :mod:`repro.probability.conditional`).
 
 The float functions reproduce :func:`repro.circuit.types.gate_probability`
-operation for operation so the kernel path is numerically identical to
-the legacy interpreter, and the packed functions are bit-identical to
-:func:`repro.circuit.types.eval_packed`.
+operation for operation, so every estimate is bit-identical to the tree
+rule on the same operands, and the packed functions are bit-identical
+to :func:`repro.circuit.types.eval_packed`.
 
 Selection happens once at compile time via :func:`packed_op`,
 :func:`overlay_op` and :func:`float_op`, which pick an arity-specialized
@@ -339,78 +340,77 @@ def overlay_op(gtype: GateType, arity: int):
 
 
 # ---------------------------------------------------------------------------
-# Float overlay ops (tree rule): fn(scratch, stamp, version, base, names,
-#                                   args, table) -> float
+# Float ops (tree rule): fn(w, args, table) -> float
 #
-# Each function performs *exactly* the arithmetic of gate_probability so
-# the compiled estimator path is numerically identical to the legacy one.
+# Each function performs *exactly* the arithmetic of gate_probability on
+# the operand probabilities ``w[a] for a in args`` (the 2-input variants
+# unroll the same fold), so conditional cone replays are bit-identical
+# to the tree rule applied to the same operands.
 # ---------------------------------------------------------------------------
 
 
-def _f_and(sc, st, ver, base, names, args, table):
+def _f_and(w, args, table):
     acc = 1.0
     for a in args:
-        acc *= sc[a] if st[a] == ver else base[names[a]]
+        acc *= w[a]
     return acc
 
 
-def _f_or(sc, st, ver, base, names, args, table):
+def _f_or(w, args, table):
     acc = 1.0
     for a in args:
-        acc *= 1.0 - (sc[a] if st[a] == ver else base[names[a]])
+        acc *= 1.0 - w[a]
     return 1.0 - acc
 
 
-def _f_nand(sc, st, ver, base, names, args, table):
+def _f_nand(w, args, table):
     acc = 1.0
     for a in args:
-        acc *= sc[a] if st[a] == ver else base[names[a]]
+        acc *= w[a]
     return 1.0 - acc
 
 
-def _f_nor(sc, st, ver, base, names, args, table):
+def _f_nor(w, args, table):
     acc = 1.0
     for a in args:
-        acc *= 1.0 - (sc[a] if st[a] == ver else base[names[a]])
+        acc *= 1.0 - w[a]
     return acc
 
 
-def _f_xor(sc, st, ver, base, names, args, table):
+def _f_xor(w, args, table):
     acc = 0.0
     for a in args:
-        p = sc[a] if st[a] == ver else base[names[a]]
+        p = w[a]
         acc = acc + p - 2.0 * acc * p
     return acc
 
 
-def _f_xnor(sc, st, ver, base, names, args, table):
+def _f_xnor(w, args, table):
     acc = 0.0
     for a in args:
-        p = sc[a] if st[a] == ver else base[names[a]]
+        p = w[a]
         acc = acc + p - 2.0 * acc * p
     return 1.0 - acc
 
 
-def _f_not(sc, st, ver, base, names, args, table):
-    a = args[0]
-    return 1.0 - (sc[a] if st[a] == ver else base[names[a]])
+def _f_not(w, args, table):
+    return 1.0 - w[args[0]]
 
 
-def _f_buf(sc, st, ver, base, names, args, table):
-    a = args[0]
-    return sc[a] if st[a] == ver else base[names[a]]
+def _f_buf(w, args, table):
+    return w[args[0]]
 
 
-def _f_const0(sc, st, ver, base, names, args, table):
+def _f_const0(w, args, table):
     return 0.0
 
 
-def _f_const1(sc, st, ver, base, names, args, table):
+def _f_const1(w, args, table):
     return 1.0
 
 
-def _f_lut(sc, st, ver, base, names, args, table):
-    probs = [sc[a] if st[a] == ver else base[names[a]] for a in args]
+def _f_lut(w, args, table):
+    probs = [w[a] for a in args]
     n = len(probs)
     total = 0.0
     for minterm in range(1 << n):
@@ -421,6 +421,38 @@ def _f_lut(sc, st, ver, base, names, args, table):
             weight *= probs[i] if (minterm >> i) & 1 else 1.0 - probs[i]
         total += weight
     return total
+
+
+def _f_and2(w, args, table):
+    a, b = args
+    return w[a] * w[b]
+
+
+def _f_or2(w, args, table):
+    a, b = args
+    return 1.0 - (1.0 - w[a]) * (1.0 - w[b])
+
+
+def _f_nand2(w, args, table):
+    a, b = args
+    return 1.0 - w[a] * w[b]
+
+
+def _f_nor2(w, args, table):
+    a, b = args
+    return (1.0 - w[a]) * (1.0 - w[b])
+
+
+def _f_xor2(w, args, table):
+    a, b = args
+    p, q = w[a], w[b]
+    return p + q - 2.0 * p * q
+
+
+def _f_xnor2(w, args, table):
+    a, b = args
+    p, q = w[a], w[b]
+    return 1.0 - (p + q - 2.0 * p * q)
 
 
 _FLOAT = {
@@ -437,9 +469,22 @@ _FLOAT = {
     GateType.LUT: _f_lut,
 }
 
+_FLOAT2 = {
+    GateType.AND: _f_and2,
+    GateType.OR: _f_or2,
+    GateType.NAND: _f_nand2,
+    GateType.NOR: _f_nor2,
+    GateType.XOR: _f_xor2,
+    GateType.XNOR: _f_xnor2,
+}
+
 
 def float_op(gtype: GateType, arity: int):
-    """The tree-rule overlay function for one gate."""
+    """The tree-rule function for one gate, arity-specialized."""
+    if arity == 2:
+        fn = _FLOAT2.get(gtype)
+        if fn is not None:
+            return fn
     try:
         return _FLOAT[gtype]
     except KeyError:

@@ -1,4 +1,4 @@
-"""One-level conditional probability evaluation.
+"""One-level conditional probability evaluation on compiled node ids.
 
 The PROTEST estimator (paper §2, formula (2)) needs two kinds of
 conditional quantities:
@@ -15,21 +15,25 @@ estimate.  This bounded recursion is what keeps the tool's effort "nearly
 linear" (paper §1); deeper nesting would re-introduce the exponential
 blow-up the estimator is designed to avoid.
 
-The re-evaluation runs on the compiled kernel (:mod:`repro.kernel`) when
-one is supplied: cone schedules are resolved once per ``(target,
-conditioning set)`` into slices of the compiled float plan and replayed
-over version-stamped scratch arrays — the same gates, in the same order,
-with the same arithmetic as the legacy dict-walking path (``compiled=
-None``), which is kept as the parity reference and perf baseline.
+Everything runs on the compiled kernel's node ids (:mod:`repro.kernel`):
+
+* the **region** of a target is its fan-in up to ``depth`` (MAXLIST)
+  edges back, as a frozenset plus an ascending tuple;
+* the **cone** of ``(target, sources)`` is one ascending scan of the
+  target's region, starting after the lowest source: a node joins iff it
+  is not a source and one of its operands is a source or already in the
+  cone — i.e. reachable from the sources *while staying in the region*;
+* a **replay** pins every condition in ``work`` (a copy of the base
+  estimates), evaluates the cone's float entries in order, reads the
+  target, then restores the touched ids from ``base`` (an undo log).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from time import perf_counter
-from typing import Dict, Mapping
+from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
-from repro.circuit.topology import Topology
-from repro.circuit.types import gate_probability
 from repro.kernel import CompiledCircuit
 from repro.telemetry.profiling import active_profiler
 
@@ -37,139 +41,143 @@ __all__ = ["ConditionalEvaluator"]
 
 
 class ConditionalEvaluator:
-    """Evaluates conditional node probabilities over a base estimate."""
+    """Evaluates conditional node probabilities over a base estimate.
 
-    def __init__(
-        self,
-        topology: Topology,
-        depth: "int | None",
-        compiled: "CompiledCircuit | None" = None,
-    ) -> None:
-        self.topology = topology
-        self.circuit = topology.circuit
-        #: Path-length bound for the re-evaluated region (MAXLIST).
-        self.depth = depth
+    ``base`` holds the unconditional estimate of every node by compiled
+    id; ``work`` equals ``base`` between calls.  Callers write estimates
+    into both (or :meth:`load` a whole vector) before asking about a
+    node; a query reads only the target's fan-in.
+    """
+
+    def __init__(self, compiled: CompiledCircuit, depth: "int | None") -> None:
         self.compiled = compiled
-        # The active phase profiler, cached once per estimation pass
-        # (see begin_pass): the influence/cone hot paths then pay one
-        # attribute load + None check when not profiling.
-        self._prof = None
-        # Influence values memoized within one estimation pass (see
-        # begin_pass).  The selection heuristic re-scores the same
-        # (input, joining-point) pairs for every gate that shares them,
-        # which made influence() the dominant cost at 10k+ gates.
-        self._influence_cache: Dict[tuple, float] = {}
-        if compiled is not None:
-            n = compiled.n_nodes
-            self._scratch = [0.0] * n
-            self._stamp = [0] * n
-            self._version = 0
-            # Cone schedules keyed by (target, frozenset of relevant
-            # conditioning nodes) — the estimator replays the same few
-            # shapes for every assignment of a conditioning set.
-            self._cone_cache: Dict[tuple, tuple] = {}
+        #: Path-length bound for the re-evaluated region (MAXLIST);
+        #: ``None`` means unbounded.
+        self.depth = depth
+        n = compiled.n_nodes
+        self.base = [0.0] * n
+        self.work = [0.0] * n
+        #: Work done in the current pass: computed influence values and
+        #: gate evaluations of cone replays (see the estimator's
+        #: ``protest_estimator_work_total``).
+        self.influence_evals = 0
+        self.cone_elems = 0
+        #: Seconds spent in ``estimator.influence`` phases (profiled only).
+        self.influence_s = 0.0
+        #: The active phase profiler, cached once per pass (begin_pass):
+        #: the hot paths then pay one attribute load + None check.
+        self.profiler = None
+        self._regions: Dict[int, FrozenSet[int]] = {}
+        self._orders: Dict[int, Tuple[int, ...]] = {}
+        # (target, frozenset of relevant sources) -> (entries, ids).
+        self._cones: Dict[tuple, tuple] = {}
+        # Influence values memoized within one pass (see begin_pass).
+        self._influence: Dict[tuple, float] = {}
 
-    def probability(
-        self,
-        target: str,
-        conditions: Mapping[str, int],
-        base: Mapping[str, float],
-    ) -> float:
-        """``P(target = 1 | conditions)`` under the one-level model.
-
-        ``base`` carries the unconditional estimates of every node computed
-        so far (the estimator guarantees all of the target's transitive
-        fan-in is present).
-        """
-        if target in conditions:
-            return float(conditions[target])
-        if self.compiled is None:
-            return self._probability_legacy(target, conditions, base)
-        allowed = self.topology.bounded_tfi(target, self.depth)
-        relevant = [node for node in conditions if node in allowed]
-        if not relevant:
-            return base[target]
-        compiled = self.compiled
-        key = (target, frozenset(relevant))
-        entries = self._cone_cache.get(key)
-        if entries is None:
-            t0 = perf_counter()
-            cone = self.topology.forward_cone_within(relevant, allowed)
-            pinned = set(relevant)
-            index = compiled.index
-            float_entry = compiled.float_entry
-            # Conditioned nodes stay pinned: they can only reappear in the
-            # cone via the relevant set (cone ⊆ allowed and conditions ∩
-            # allowed = relevant), so excluding them here is exact.
-            entries = tuple(
-                float_entry[index[name]] for name in cone if name not in pinned
-            )
-            self._cone_cache[key] = entries
-            profiler = self._prof
-            if profiler is not None:
-                profiler.add("estimator.cone_schedule", perf_counter() - t0)
-        scratch = self._scratch
-        stamp = self._stamp
-        self._version = version = self._version + 1
-        index = compiled.index
-        names = compiled.names
-        for node, value in conditions.items():
-            i = index[node]
-            scratch[i] = float(value)
-            stamp[i] = version
-        for i, fn, args, table in entries:
-            scratch[i] = fn(scratch, stamp, version, base, names, args, table)
-            stamp[i] = version
-        t = index[target]
-        return scratch[t] if stamp[t] == version else base[target]
-
-    def _probability_legacy(
-        self,
-        target: str,
-        conditions: Mapping[str, int],
-        base: Mapping[str, float],
-    ) -> float:
-        """The dict-walking cone re-evaluation (pre-kernel behaviour)."""
-        allowed = self.topology.bounded_tfi(target, self.depth)
-        relevant = [node for node in conditions if node in allowed]
-        if not relevant:
-            return base[target]
-        cone = self.topology.forward_cone_within(relevant, allowed)
-        values: Dict[str, float] = {
-            node: float(value) for node, value in conditions.items()
-        }
-        gates = self.circuit.gates
-        for name in cone:
-            if name in conditions:
-                continue  # conditioned nodes stay pinned
-            gate = gates[name]
-            operand_probs = [
-                values.get(src, base[src]) for src in gate.inputs
-            ]
-            values[name] = gate_probability(
-                gate.gtype, operand_probs, gate.table
-            )
-        return values.get(target, base[target])
+    def load(self, values: Sequence[float]) -> None:
+        """Replace the base estimates (and the working copy)."""
+        self.base[:] = values
+        self.work[:] = values
 
     def begin_pass(self) -> None:
-        """Invalidate per-pass memos before a new estimation pass.
+        """Reset the per-pass memo and work counts before a new pass.
 
-        :meth:`influence` values depend on the base estimates of the cone
-        between ``node`` and ``target``; within one estimator pass those
-        are final before any consumer asks (the cone lies in the target's
-        transitive fan-in, which topological order has already fixed), so
-        memoizing by ``(target, node)`` is exact.  A new ``run``/``update``
-        changes the base estimates, so the estimator calls this first.
+        :meth:`influence` values depend on the base estimates of the
+        target's fan-in; within one estimator pass those are final
+        before any consumer asks (topological order fixes them first),
+        so memoizing by ``(target, node)`` is exact.  A new pass changes
+        the base estimates, so the estimator calls this first.
         """
-        self._influence_cache.clear()
-        self._prof = active_profiler()
+        self._influence.clear()
+        self.profiler = active_profiler()
+        self.influence_evals = 0
+        self.cone_elems = 0
 
-    def influence(
-        self,
-        target: str,
-        node: str,
-        base: Mapping[str, float],
-    ) -> float:
+    # -- structure ------------------------------------------------------------
+
+    def region(self, target: int) -> FrozenSet[int]:
+        """Fan-in of ``target`` up to ``depth`` edges back (inclusive)."""
+        members = self._regions.get(target)
+        if members is None:
+            args_of = self.compiled.args_of
+            limit = self.compiled.n_nodes if self.depth is None else self.depth
+            seen = {target}
+            frontier = [target]
+            level = 0
+            while frontier and level < limit:
+                level += 1
+                found = []
+                for node in frontier:
+                    for a in args_of[node]:
+                        if a not in seen:
+                            seen.add(a)
+                            found.append(a)
+                frontier = found
+            members = frozenset(seen)
+            self._regions[target] = members
+        return members
+
+    def _cone(self, target: int, sources: FrozenSet[int]) -> tuple:
+        """Float entries (and their ids) re-evaluated when ``sources``
+        are pinned, for a query about ``target``; cached per key."""
+        key = (target, sources)
+        cone = self._cones.get(key)
+        if cone is not None:
+            return cone
+        t0 = perf_counter()
+        order = self._orders.get(target)
+        if order is None:
+            order = self._orders[target] = tuple(sorted(self.region(target)))
+        args_of = self.compiled.args_of
+        marked = set(sources)
+        mark = marked.add
+        ids = []
+        for node in order[bisect_right(order, min(sources)):]:
+            if node in marked:
+                continue  # a pinned source keeps its condition
+            for a in args_of[node]:
+                if a in marked:
+                    mark(node)
+                    ids.append(node)
+                    break
+        float_entry = self.compiled.float_entry
+        cone = (tuple([float_entry[i] for i in ids]), tuple(ids))
+        self._cones[key] = cone
+        if self.profiler is not None:
+            self.profiler.add("estimator.cone_schedule", perf_counter() - t0)
+        return cone
+
+    # -- queries --------------------------------------------------------------
+
+    def probability(self, target: int, conditions: Mapping[int, float]) -> float:
+        """``P(target = 1 | conditions)`` under the one-level model.
+
+        ``conditions`` maps node ids to pinned values (``1.0``/``0.0``).
+        All of them are pinned, not only those inside the target's
+        region: a cone gate may read a conditioned operand from outside.
+        """
+        pinned = conditions.get(target)
+        if pinned is not None:
+            return pinned
+        relevant = self.region(target).intersection(conditions)
+        if not relevant:
+            return self.base[target]
+        entries, ids = self._cone(target, relevant)
+        work = self.work
+        for node, value in conditions.items():
+            work[node] = value
+        for i, fn, args, table in entries:
+            work[i] = fn(work, args, table)
+        value = work[target]
+        base = self.base
+        for node in conditions:
+            work[node] = base[node]
+        for i in ids:
+            work[i] = base[i]
+        self.cone_elems += len(ids)
+        return value
+
+    def influence(self, target: int, node: int) -> float:
         """``P(target | node=1) - P(target | node=0)``.
 
         The covariance of two signals factorizes over this difference:
@@ -178,76 +186,36 @@ class ConditionalEvaluator:
         heuristic needs (§2).
         """
         key = (target, node)
-        cached = self._influence_cache.get(key)
-        if cached is not None:
-            return cached
-        profiler = self._prof
+        value = self._influence.get(key)
+        if value is not None:
+            return value
+        profiler = self.profiler
         started = profiler.push("estimator.influence") if profiler else 0.0
-        try:
-            value = self._influence_uncached(target, node, base)
-        finally:
-            if profiler is not None:
-                profiler.pop(started)
-        self._influence_cache[key] = value
-        return value
-
-    def _influence_uncached(
-        self,
-        target: str,
-        node: str,
-        base: Mapping[str, float],
-    ) -> float:
-        allowed = self.topology.bounded_tfi(target, self.depth)
-        if node not in allowed:
+        self.influence_evals += 1
+        if node not in self.region(target):
             # Outside the re-evaluation region both conditionals collapse
-            # to the base estimate; skip the two cone replays entirely.
+            # to the base estimate.
             value = 0.0
-        elif self.compiled is None:
-            high = self.probability(target, {node: 1}, base)
-            low = self.probability(target, {node: 0}, base)
-            value = high - low
         else:
-            # Kernel fast path: resolve the singleton cone schedule once
-            # and replay it for node=1 and node=0 back to back, without
-            # the per-call conditions/relevant bookkeeping of
-            # :meth:`probability` (this pair of replays dominates the
-            # selection heuristic on 10k+-gate netlists).
-            compiled = self.compiled
-            index = compiled.index
-            ckey = (target, frozenset((node,)))
-            entries = self._cone_cache.get(ckey)
-            if entries is None:
-                t0 = perf_counter()
-                cone = self.topology.forward_cone_within([node], allowed)
-                float_entry = compiled.float_entry
-                entries = tuple(
-                    float_entry[index[name]] for name in cone if name != node
-                )
-                self._cone_cache[ckey] = entries
-                profiler = self._prof
-                if profiler is not None:
-                    profiler.add(
-                        "estimator.cone_schedule", perf_counter() - t0
-                    )
-            names = compiled.names
-            scratch = self._scratch
-            stamp = self._stamp
-            t = index[target]
-            ni = index[node]
-            high = low = base[target]
-            for pin, out in ((1.0, "high"), (0.0, "low")):
-                self._version = version = self._version + 1
-                scratch[ni] = pin
-                stamp[ni] = version
-                for i, fn, args, table in entries:
-                    scratch[i] = fn(
-                        scratch, stamp, version, base, names, args, table
-                    )
-                    stamp[i] = version
-                if stamp[t] == version:
-                    if out == "high":
-                        high = scratch[t]
-                    else:
-                        low = scratch[t]
-            value = high - low
+            entries, ids = self._cone(target, frozenset((node,)))
+            work = self.work
+            work[node] = 1.0
+            for i, fn, args, table in entries:
+                work[i] = fn(work, args, table)
+            high = work[target]
+            # The second replay rewrites every cone id before reading it.
+            work[node] = 0.0
+            for i, fn, args, table in entries:
+                work[i] = fn(work, args, table)
+            value = high - work[target]
+            base = self.base
+            work[node] = base[node]
+            for i in ids:
+                work[i] = base[i]
+            self.cone_elems += 2 * len(ids)
+        if profiler is not None:
+            elapsed = perf_counter() - started
+            profiler.pop(started, elapsed)
+            self.influence_s += elapsed
+        self._influence[key] = value
         return value

@@ -23,16 +23,15 @@ examples (see the tests).
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.circuit.netlist import Circuit, Gate
-from repro.circuit.topology import Topology
-from repro.circuit.types import gate_probability
+from repro.circuit.netlist import Circuit
 from repro.errors import EstimationError
 from repro.kernel import compile_circuit
 from repro.logicsim.patterns import resolve_input_probs
 from repro.probability.conditional import ConditionalEvaluator
+from repro.telemetry.metrics import REGISTRY
 
 __all__ = [
     "EstimatorParams",
@@ -40,6 +39,13 @@ __all__ = [
     "SignalProbabilityEstimator",
     "input_probs_key",
 ]
+
+_WORK = REGISTRY.counter(
+    "protest_estimator_work_total",
+    "Signal-estimator work: computed influence() values (kind=influence) "
+    "and gate evaluations of conditional cone replays (kind=cone_elems)",
+    ("kind",),
+)
 
 
 def input_probs_key(
@@ -94,12 +100,14 @@ class SignalProbabilities(Mapping[str, float]):
         self,
         probs: Dict[str, float],
         input_probs: Dict[str, float],
-        conditioned_gates: int,
+        conditioned: FrozenSet[str],
     ) -> None:
         self._probs = probs
         self.input_probs = input_probs
+        #: The gates that required joining-point conditioning.
+        self.conditioned_nodes = conditioned
         #: Number of gates that required joining-point conditioning.
-        self.conditioned_gates = conditioned_gates
+        self.conditioned_gates = len(conditioned)
 
     def __getitem__(self, node: str) -> float:
         return self._probs[node]
@@ -115,25 +123,32 @@ class SignalProbabilities(Mapping[str, float]):
 
 
 class SignalProbabilityEstimator:
-    """Near-linear signal-probability estimation with bounded conditioning."""
+    """Near-linear signal-probability estimation with bounded conditioning.
+
+    Runs on the circuit's compiled node ids: base estimates live in a
+    flat list, and names are translated only when a pass starts and
+    when it returns its :class:`SignalProbabilities`.  Every pass adds
+    its computed ``influence()`` values and cone-replay gate evaluations
+    to ``protest_estimator_work_total``.
+    """
 
     def __init__(
         self,
         circuit: Circuit,
         params: "EstimatorParams | None" = None,
-        topology: "Topology | None" = None,
-        use_kernel: bool = True,
     ) -> None:
         self.circuit = circuit
         self.params = params or EstimatorParams()
-        self.topology = topology or Topology(circuit, cache=use_kernel)
-        self._conditional = ConditionalEvaluator(
-            self.topology,
-            self.params.maxlist,
-            compiled=compile_circuit(circuit) if use_kernel else None,
+        self.compiled = compiled = compile_circuit(circuit)
+        self._conditional = ConditionalEvaluator(compiled, self.params.maxlist)
+        # Per-gate float entries ``(id, fn, args, table)``, topo order.
+        self._gates = [e for e in compiled.float_entry if e is not None]
+        # Nodes with two or more fan-out pins: the joining-point alphabet.
+        self._stems = frozenset(
+            i for i, pins in enumerate(compiled.consumers) if len(pins) >= 2
         )
-        # Joining points per gate are purely structural: cache them.
-        self._joining_cache: Dict[str, List[str]] = {}
+        # Joining points per gate id are purely structural: cache them.
+        self._joining: Dict[int, Tuple[int, ...]] = {}
 
     # -- public API ----------------------------------------------------------------
 
@@ -143,18 +158,20 @@ class SignalProbabilityEstimator:
     ) -> SignalProbabilities:
         """Estimate all node probabilities for the given input tuple."""
         resolved = resolve_input_probs(self.circuit.inputs, input_probs)
-        self._conditional.begin_pass()
-        probs: Dict[str, float] = dict(resolved)
-        conditioned = 0
-        for node in self.circuit.nodes:
-            if node in probs:
-                continue
-            value, used_conditioning = self._gate_probability(
-                self.circuit.gates[node], probs
-            )
-            probs[node] = value
-            conditioned += int(used_conditioning)
-        return SignalProbabilities(probs, resolved, conditioned)
+        conditional = self._conditional
+        conditional.begin_pass()
+        base, work = conditional.base, conditional.work
+        for i, name in zip(self.compiled.input_index, self.circuit.inputs):
+            base[i] = work[i] = resolved[name]
+        conditioned = []
+        estimate = self._gate_probability
+        for entry in self._gates:
+            i = entry[0]
+            value, used = estimate(entry)
+            base[i] = work[i] = value
+            if used:
+                conditioned.append(i)
+        return self._finish(resolved, conditioned)
 
     def update(
         self,
@@ -165,101 +182,163 @@ class SignalProbabilityEstimator:
 
         Only gates in the transitive fan-out of the changed inputs are
         recomputed — the key speed-up for the §6 hill climber, whose moves
-        touch one input at a time.
+        touch one input at a time.  Each recomputed gate's conditioning
+        flag is recomputed with it.
         """
         resolved = resolve_input_probs(self.circuit.inputs, input_probs)
+        compiled = self.compiled
         changed = [
-            name
-            for name in self.circuit.inputs
+            (i, name)
+            for i, name in zip(compiled.input_index, self.circuit.inputs)
             if resolved[name] != previous.input_probs.get(name)
         ]
         if not changed:
             return previous
-        self._conditional.begin_pass()
-        dirty = set(changed)
-        for node in changed:
-            dirty.update(self.topology.tfo(node))
-        probs = previous.as_dict()
-        for node in changed:
-            probs[node] = resolved[node]
-        conditioned = previous.conditioned_gates
-        for node in self.circuit.nodes:
-            if node not in dirty or node in resolved:
+        conditional = self._conditional
+        conditional.begin_pass()
+        conditional.load([previous[name] for name in compiled.names])
+        base, work = conditional.base, conditional.work
+        index = compiled.index
+        flagged = {index[name] for name in previous.conditioned_nodes}
+        dirty = bytearray(compiled.n_nodes)
+        for i, name in changed:
+            base[i] = work[i] = resolved[name]
+            dirty[i] = 1
+        estimate = self._gate_probability
+        for entry in self._gates:
+            i, _fn, args, _table = entry
+            if not any(dirty[a] for a in args):
                 continue
-            value, _used = self._gate_probability(
-                self.circuit.gates[node], probs
-            )
-            probs[node] = value
-        return SignalProbabilities(probs, resolved, conditioned)
+            dirty[i] = 1
+            value, used = estimate(entry)
+            base[i] = work[i] = value
+            if used:
+                flagged.add(i)
+            else:
+                flagged.discard(i)
+        return self._finish(resolved, flagged)
 
     def joining_points_of(self, gate_name: str) -> List[str]:
         """The (depth-bounded) joining points of a gate's input tuple."""
-        cached = self._joining_cache.get(gate_name)
-        if cached is None:
-            gate = self.circuit.gates[gate_name]
-            cached = self.topology.joining_points(
-                gate.inputs, self.params.maxlist
-            )
-            self._joining_cache[gate_name] = cached
-        return cached
+        i = self.compiled.index[gate_name]
+        names = self.compiled.names
+        return [names[x] for x in self._joining_points(i)]
 
     # -- core ------------------------------------------------------------------------
 
-    def _gate_probability(
-        self, gate: Gate, probs: Dict[str, float]
-    ) -> Tuple[float, bool]:
+    def _finish(
+        self, resolved: Dict[str, float], conditioned: Iterable[int]
+    ) -> SignalProbabilities:
+        """Translate the pass back to names and flush its work counts."""
+        conditional = self._conditional
+        _WORK.labels(kind="influence").inc(conditional.influence_evals)
+        _WORK.labels(kind="cone_elems").inc(conditional.cone_elems)
+        names = self.compiled.names
+        return SignalProbabilities(
+            dict(zip(names, conditional.base)),
+            resolved,
+            frozenset(names[i] for i in conditioned),
+        )
+
+    def _joining_points(self, i: int) -> Tuple[int, ...]:
+        """The joining points ``V`` of gate ``i``'s inputs (paper Fig. 2).
+
+        A node with at least two fan-out pins that lies in the
+        MAXLIST-bounded fan-in of at least two of the gate's pins —
+        counted per pin, so a gate fed twice from one signal makes that
+        signal its own joining point.  Ascending id: topological order.
+        """
+        joining = self._joining.get(i)
+        if joining is None:
+            region = self._conditional.region
+            seen: FrozenSet[int] = frozenset()
+            twice: FrozenSet[int] = frozenset()
+            for a in self.compiled.args_of[i]:
+                members = region(a)
+                twice |= seen & members
+                seen |= members
+            joining = tuple(sorted(twice & self._stems))
+            self._joining[i] = joining
+        return joining
+
+    def _gate_probability(self, entry: tuple) -> Tuple[float, bool]:
         """Estimate one gate's output probability (cases 2-4)."""
-        operand_probs = [probs[src] for src in gate.inputs]
-        if gate.arity < 2 or self.params.maxvers == 0:
-            return gate_probability(gate.gtype, operand_probs, gate.table), False
-        joining = self.joining_points_of(gate.name)
-        if not joining:
-            return gate_probability(gate.gtype, operand_probs, gate.table), False
-        selected = self._select_conditioning_set(gate, joining, probs)
+        i, fn, args, table = entry
+        base = self._conditional.base
+        if len(args) < 2 or self.params.maxvers == 0:
+            return fn(base, args, table), False
+        profiler = self._conditional.profiler
+        if profiler is not None:
+            return self._profiled_gate_probability(entry, profiler)
+        selected = self._select_conditioning_set(i, args)
         if not selected:
-            return gate_probability(gate.gtype, operand_probs, gate.table), False
-        value = self._conditioned_probability(gate, selected, probs)
+            return fn(base, args, table), False
+        return self._conditioned_probability(entry, selected), True
+
+    def _profiled_gate_probability(
+        self, entry: tuple, profiler
+    ) -> Tuple[float, bool]:
+        """:meth:`_gate_probability` with ``estimator.select`` and
+        ``estimator.condition`` phases.  Selection time is recorded net
+        of the ``estimator.influence`` phases it calls, which stay direct
+        children of the enclosing stage."""
+        i, fn, args, table = entry
+        conditional = self._conditional
+        started = perf_counter()
+        nested = conditional.influence_s
+        selected = self._select_conditioning_set(i, args)
+        profiler.add(
+            "estimator.select",
+            perf_counter() - started - (conditional.influence_s - nested),
+        )
+        if not selected:
+            return fn(conditional.base, args, table), False
+        with profiler.phase("estimator.condition"):
+            value = self._conditioned_probability(entry, selected)
         return value, True
 
     def _select_conditioning_set(
-        self,
-        gate: Gate,
-        joining: List[str],
-        probs: Mapping[str, float],
-    ) -> List[str]:
+        self, i: int, args: Tuple[int, ...]
+    ) -> List[int]:
         """Rank joining points by the paper's covariance score, keep MAXVERS.
 
         score(x) = sum over input pairs (i, j) of
                    |Cov(a_i, x) * Cov(a_j, x)| / S(x)^2
                  = Var(x) * sum |influence_i(x) * influence_j(x)|
+
+        Ties are broken by node name, so the choice does not depend on
+        the compiled numbering.
         """
-        candidates = joining
-        if len(candidates) > self.params.candidate_cap:
+        candidates = self._joining_points(i)
+        if not candidates:
+            return []
+        params = self.params
+        if len(candidates) > params.candidate_cap:
             # Keep the topologically closest joining points.
-            candidates = candidates[-self.params.candidate_cap :]
-        distinct_inputs = list(dict.fromkeys(gate.inputs))
-        scored: List[Tuple[float, str]] = []
+            candidates = candidates[-params.candidate_cap :]
+        distinct_inputs = tuple(dict.fromkeys(args))
+        base = self._conditional.base
+        influence = self._conditional.influence
+        names = self.compiled.names
+        scored: List[Tuple[float, str, int]] = []
         for x in candidates:
-            variance = probs[x] * (1.0 - probs[x])
+            variance = base[x] * (1.0 - base[x])
             if variance <= 0.0:
                 continue  # a constant node cannot carry correlation
-            influences = [
-                self._conditional.influence(a, x, probs)
-                for a in distinct_inputs
-            ]
             if len(distinct_inputs) == 1:
                 # Gate fed twice from one signal: full self-correlation.
-                score = variance * abs(influences[0])
+                score = variance * abs(influence(distinct_inputs[0], x))
             else:
+                influences = [influence(a, x) for a in distinct_inputs]
                 score = 0.0
-                for i in range(len(influences)):
-                    for j in range(i + 1, len(influences)):
-                        score += abs(influences[i] * influences[j])
+                for j in range(len(influences)):
+                    for k in range(j + 1, len(influences)):
+                        score += abs(influences[j] * influences[k])
                 score *= variance
-            scored.append((score, x))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        selected = [x for score, x in scored if score > 0.0]
-        if len(selected) < self.params.maxvers:
+            scored.append((-score, names[x], x))
+        scored.sort()
+        selected = [x for neg_score, _name, x in scored if neg_score < 0.0]
+        if len(selected) < params.maxvers:
             # Zero first-order covariance does not imply independence (an
             # XOR pair is the classic counterexample), so fill the unused
             # slots with the topologically closest remaining candidates:
@@ -267,18 +346,15 @@ class SignalProbabilityEstimator:
             # joint (higher-order) correlation gets captured.
             chosen = set(selected)
             for x in reversed(candidates):
-                if x not in chosen and probs[x] * (1.0 - probs[x]) > 0.0:
+                if x not in chosen and base[x] * (1.0 - base[x]) > 0.0:
                     selected.append(x)
                     chosen.add(x)
-                if len(selected) >= self.params.maxvers:
+                if len(selected) >= params.maxvers:
                     break
-        return selected[: self.params.maxvers]
+        return selected[: params.maxvers]
 
     def _conditioned_probability(
-        self,
-        gate: Gate,
-        selected: Sequence[str],
-        probs: Dict[str, float],
+        self, entry: tuple, selected: Sequence[int]
     ) -> float:
         """Formula (2): sum over assignments of the conditioning set.
 
@@ -286,27 +362,25 @@ class SignalProbabilityEstimator:
         chain over the topologically ordered conditioning nodes; shared
         prefixes are evaluated once by the depth-first recursion.
         """
-        order = sorted(selected, key=self.topology.topo_index.__getitem__)
-        conditional = self._conditional
-        total = 0.0
-        conditions: Dict[str, int] = {}
+        _i, fn, args, table = entry
+        order = sorted(selected)
+        depth = len(order)
+        # A leaf applies the gate's float op to its conditioned operands.
+        positions = tuple(range(len(args)))
+        probability = self._conditional.probability
+        conditions: Dict[int, float] = {}
 
         def descend(index: int, weight: float) -> float:
             if weight <= 0.0:
                 return 0.0
-            if index == len(order):
-                cond_inputs = [
-                    conditional.probability(src, conditions, probs)
-                    for src in gate.inputs
-                ]
-                return weight * gate_probability(
-                    gate.gtype, cond_inputs, gate.table
-                )
+            if index == depth:
+                operands = [probability(a, conditions) for a in args]
+                return weight * fn(operands, positions, table)
             node = order[index]
-            p_one = conditional.probability(node, conditions, probs)
+            p_one = probability(node, conditions)
             p_one = min(max(p_one, 0.0), 1.0)
             acc = 0.0
-            for value, branch_weight in ((1, p_one), (0, 1.0 - p_one)):
+            for value, branch_weight in ((1.0, p_one), (0.0, 1.0 - p_one)):
                 if branch_weight <= 0.0:
                     continue
                 conditions[node] = value
@@ -314,6 +388,5 @@ class SignalProbabilityEstimator:
                 del conditions[node]
             return acc
 
-        total = descend(0, 1.0)
         # Guard against accumulated float error.
-        return min(max(total, 0.0), 1.0)
+        return min(max(descend(0, 1.0), 0.0), 1.0)

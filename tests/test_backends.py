@@ -249,7 +249,9 @@ def test_legacy_engine_reports_legacy_backend():
     engine = AnalysisEngine("c17", "fast", use_kernel=False)
     assert engine.backend is None
     assert engine.backend_name == "legacy"
-    assert engine.analyze().provenance.backend == "legacy"
+    # The analytic stages have one path, the compiled estimator, so an
+    # analyze() report names it whatever the simulation interpreters are.
+    assert engine.analyze().provenance.backend == "python"
 
 
 def test_engine_unknown_backend_fails_fast():

@@ -1,10 +1,11 @@
-"""Tests for the one-level conditional evaluator."""
+"""Tests for the one-level conditional evaluator (on compiled node ids)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.circuit import CircuitBuilder, Topology
+from repro.circuit import CircuitBuilder
+from repro.kernel import compile_circuit
 from repro.probability.conditional import ConditionalEvaluator
 
 
@@ -33,48 +34,47 @@ def base_probs(circuit, values=None):
     return probs
 
 
-def test_condition_on_ancestor():
-    circuit = build_chain()
-    topo = Topology(circuit)
-    evaluator = ConditionalEvaluator(topo, depth=None)
+def evaluator_for(circuit, depth):
+    """An evaluator over the tree-rule base plus a name -> id helper."""
+    compiled = compile_circuit(circuit)
+    evaluator = ConditionalEvaluator(compiled, depth)
     base = base_probs(circuit)
+    evaluator.load([base[name] for name in compiled.names])
+    evaluator.begin_pass()
+    return evaluator, compiled.index.__getitem__, base
+
+
+def test_condition_on_ancestor():
+    evaluator, ix, _base = evaluator_for(build_chain(), depth=None)
     # P(n1 | x=1) = p_y, P(n1 | x=0) = 0.
-    assert evaluator.probability("n1", {"x": 1}, base) == pytest.approx(0.5)
-    assert evaluator.probability("n1", {"x": 0}, base) == 0.0
+    assert evaluator.probability(ix("n1"), {ix("x"): 1.0}) == pytest.approx(0.5)
+    assert evaluator.probability(ix("n1"), {ix("x"): 0.0}) == 0.0
     # Through the inverter.
-    assert evaluator.probability("n2", {"x": 0}, base) == 1.0
+    assert evaluator.probability(ix("n2"), {ix("x"): 0.0}) == 1.0
 
 
 def test_condition_on_self():
-    circuit = build_chain()
-    evaluator = ConditionalEvaluator(Topology(circuit), depth=None)
-    base = base_probs(circuit)
-    assert evaluator.probability("n1", {"n1": 1}, base) == 1.0
-    assert evaluator.probability("n1", {"n1": 0}, base) == 0.0
+    evaluator, ix, _base = evaluator_for(build_chain(), depth=None)
+    assert evaluator.probability(ix("n1"), {ix("n1"): 1.0}) == 1.0
+    assert evaluator.probability(ix("n1"), {ix("n1"): 0.0}) == 0.0
 
 
 def test_unrelated_condition_returns_base():
-    circuit = build_chain()
-    evaluator = ConditionalEvaluator(Topology(circuit), depth=None)
-    base = base_probs(circuit)
+    evaluator, ix, base = evaluator_for(build_chain(), depth=None)
     # y's value does not affect x.
-    assert evaluator.probability("x", {"y": 1}, base) == base["x"]
+    assert evaluator.probability(ix("x"), {ix("y"): 1.0}) == base["x"]
 
 
 def test_depth_bound_cuts_influence():
-    circuit = build_chain()
-    evaluator = ConditionalEvaluator(Topology(circuit), depth=1)
-    base = base_probs(circuit)
+    evaluator, ix, base = evaluator_for(build_chain(), depth=1)
     # n2 is 2 levels from x; with depth=1 the condition is out of range.
-    assert evaluator.probability("n2", {"x": 0}, base) == base["n2"]
+    assert evaluator.probability(ix("n2"), {ix("x"): 0.0}) == base["n2"]
 
 
 def test_influence_sign():
-    circuit = build_chain()
-    evaluator = ConditionalEvaluator(Topology(circuit), depth=None)
-    base = base_probs(circuit)
-    assert evaluator.influence("n1", "x", base) == pytest.approx(0.5)
-    assert evaluator.influence("n2", "x", base) == pytest.approx(-0.5)
+    evaluator, ix, _base = evaluator_for(build_chain(), depth=None)
+    assert evaluator.influence(ix("n1"), ix("x")) == pytest.approx(0.5)
+    assert evaluator.influence(ix("n2"), ix("x")) == pytest.approx(-0.5)
 
 
 def test_multi_condition_chain():
@@ -83,13 +83,24 @@ def test_multi_condition_chain():
     n1 = b.or_("n1", x, y)
     n2 = b.and_("n2", n1, z)
     b.output(n2)
-    circuit = b.build()
-    evaluator = ConditionalEvaluator(Topology(circuit), depth=None)
-    base = base_probs(circuit)
+    evaluator, ix, _base = evaluator_for(b.build(), depth=None)
     # P(n2 | x=0, z=1) = P(y) = 0.5; P(n2 | x=1, z=1) = 1.
     assert evaluator.probability(
-        "n2", {"x": 0, "z": 1}, base
+        ix("n2"), {ix("x"): 0.0, ix("z"): 1.0}
     ) == pytest.approx(0.5)
     assert evaluator.probability(
-        "n2", {"x": 1, "z": 1}, base
+        ix("n2"), {ix("x"): 1.0, ix("z"): 1.0}
     ) == pytest.approx(1.0)
+
+
+def test_replay_restores_the_working_copy():
+    """Every query leaves ``work`` equal to ``base`` (the undo log)."""
+    b = CircuitBuilder("two")
+    x, y, z = b.inputs("x", "y", "z")
+    n1 = b.or_("n1", x, y)
+    n2 = b.and_("n2", n1, z)
+    b.output(n2)
+    evaluator, ix, _base = evaluator_for(b.build(), depth=None)
+    evaluator.probability(ix("n2"), {ix("x"): 0.0, ix("z"): 1.0})
+    evaluator.influence(ix("n2"), ix("y"))
+    assert evaluator.work == evaluator.base

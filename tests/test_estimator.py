@@ -6,6 +6,7 @@ import pytest
 
 from repro.circuit import CircuitBuilder
 from repro.circuits import and_or_ladder, c17, sn74181
+from repro.circuits.library import build
 from repro.errors import EstimationError
 from repro.probability import (
     EstimatorParams,
@@ -148,3 +149,19 @@ def test_c17_close_to_exact():
     estimate = SignalProbabilityEstimator(circuit).run()
     for node in circuit.nodes:
         assert estimate[node] == pytest.approx(exact[node], abs=0.07), node
+
+
+@pytest.mark.parametrize("name", ["c17", "alu", "c432"])
+def test_update_recomputes_conditioned_gates(name):
+    """update() re-derives every recomputed gate's conditioning flag:
+    with all inputs at 1.0 nothing varies, so nothing is conditioned."""
+    circuit = build(name)
+    estimator = SignalProbabilityEstimator(circuit)
+    previous = estimator.run(0.5)
+    assert previous.conditioned_gates > 0
+    updated = estimator.update(previous, 1.0)
+    fresh = SignalProbabilityEstimator(circuit).run(1.0)
+    assert fresh.conditioned_gates == 0
+    assert updated.conditioned_gates == fresh.conditioned_gates
+    assert updated.conditioned_nodes == fresh.conditioned_nodes
+    assert dict(updated) == dict(fresh)

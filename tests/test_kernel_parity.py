@@ -2,10 +2,10 @@
 
 The compiled flat-array kernel (:mod:`repro.kernel`) must be *bit-identical*
 to the legacy per-gate interpreters for packed simulation and fault
-simulation, and numerically identical (well below 1e-12) for the
-estimator pipeline.  Every test here runs both paths on the same inputs —
-randomized DAGs (with LUTs) plus the paper's bundled circuits — and
-compares exhaustively.
+simulation, and the estimator pipeline must equal (``==``) the
+name-walking reference in ``signal_reference.py``.  Every test here runs
+both paths on the same inputs — randomized DAGs (with LUTs) plus the
+paper's bundled circuits — and compares exhaustively.
 
 The same contract extends to the evaluation backends
 (:mod:`repro.backends`): the numpy word engine must produce bit-identical
@@ -16,7 +16,11 @@ deterministic fault slice to keep the suite seconds-scale).
 
 from __future__ import annotations
 
+import random
+
 import pytest
+
+from signal_reference import ReferenceSignalEstimator
 
 from repro.api import AnalysisEngine
 from repro.backends import get_backend
@@ -197,40 +201,33 @@ def test_analyze_parity_bundled(name):
     legacy_engine = AnalysisEngine(name, "paper", use_kernel=False)
     kernel_report = kernel_engine.analyze()
     legacy_report = legacy_engine.analyze()
-    # Signal probabilities: identical within 1e-12.
+    # Signal probabilities: identical to the name-walking reference.
+    circuit = kernel_engine.circuit
+    reference, conditioned = ReferenceSignalEstimator(
+        circuit, kernel_engine.config.estimator_params()
+    ).run()
     kernel_signal = kernel_engine.raw_signal_probabilities()
-    legacy_signal = legacy_engine.raw_signal_probabilities()
-    for node in kernel_signal:
-        assert kernel_signal[node] == pytest.approx(
-            legacy_signal[node], abs=1e-12
-        ), node
-    # Detection probabilities: identical within 1e-12.
-    kernel_det = kernel_engine.raw_detection_probabilities()
-    legacy_det = legacy_engine.raw_detection_probabilities()
-    assert kernel_det.keys() == legacy_det.keys()
-    for fault in kernel_det:
-        assert kernel_det[fault] == pytest.approx(
-            legacy_det[fault], abs=1e-12
-        ), fault
-    # And the derived report quantities agree exactly.
+    assert dict(kernel_signal) == reference
+    assert kernel_signal.conditioned_nodes == conditioned
+    assert dict(legacy_engine.raw_signal_probabilities()) == reference
+    # Detection probabilities and the derived report agree exactly.
+    assert kernel_engine.raw_detection_probabilities() == \
+        legacy_engine.raw_detection_probabilities()
     assert kernel_report.test_lengths == legacy_report.test_lengths
     assert kernel_report.n_faults == legacy_report.n_faults
-    assert kernel_report.min_detection == pytest.approx(
-        legacy_report.min_detection, abs=1e-12
-    )
+    assert kernel_report.min_detection == legacy_report.min_detection
 
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_signal_probability_parity_random_dags(seed):
     circuit = random_dag(6, 40, seed=seed, lut_fraction=0.2)
-    kernel_engine = AnalysisEngine(circuit, "paper", use_kernel=True)
-    legacy_engine = AnalysisEngine(circuit, "paper", use_kernel=False)
-    kernel_signal = kernel_engine.raw_signal_probabilities()
-    legacy_signal = legacy_engine.raw_signal_probabilities()
-    for node in kernel_signal:
-        assert kernel_signal[node] == pytest.approx(
-            legacy_signal[node], abs=1e-12
-        ), node
+    engine = AnalysisEngine(circuit, "paper")
+    reference, conditioned = ReferenceSignalEstimator(
+        circuit, engine.config.estimator_params()
+    ).run()
+    signal = engine.raw_signal_probabilities()
+    assert dict(signal) == reference
+    assert signal.conditioned_nodes == conditioned
 
 
 def test_kernel_engine_cache_contract_still_holds():
@@ -397,9 +394,12 @@ def test_kernel_ops_match_types_dispatch(gtype):
                 ) == want
                 # Float family vs. the tree rule on 0/1 probabilities.
                 probs = [float(b) for b in bits]
-                got = float_op(gtype, arity)(
-                    probs, stamp, 1, {}, (), args, table
-                )
-                assert got == pytest.approx(
-                    gate_probability(gtype, probs, table), abs=0.0
-                )
+                assert float_op(gtype, arity)(probs, args, table) == \
+                    gate_probability(gtype, probs, table)
+            # ... and bit-identical on fractional ones (the arity-2
+            # variants unroll the tree rule's fold).
+            rng = random.Random(arity)
+            for _ in range(50):
+                probs = [rng.random() for _ in range(arity)]
+                assert float_op(gtype, arity)(probs, args, table) == \
+                    gate_probability(gtype, probs, table)

@@ -197,6 +197,18 @@ class TestEngineProfile:
         assert memory["peak_rss_bytes.signal"] > 0
         assert "cone_cache" in memory
 
+    @pytest.mark.parametrize("name", ["c7552", "div"])
+    def test_signal_stage_time_is_attributed(self, name):
+        """Per-gate select/condition phases (plus influence, cone and
+        setup phases) explain >= 90% of the signal stage."""
+        engine = AnalysisEngine(build(name), "paper", profile=True)
+        engine.raw_signal_probabilities()
+        rows = {row["path"]: row for row in engine.profile_report()["phases"]}
+        assert "engine.signal;estimator.select" in rows
+        assert "engine.signal;estimator.condition" in rows
+        signal = rows["engine.signal"]
+        assert signal["self_s"] < 0.10 * signal["cum_s"]
+
     def test_unprofiled_engine_has_no_profiler(self):
         engine = AnalysisEngine(build("c17"), "paper")
         engine.analyze()

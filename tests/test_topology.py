@@ -1,11 +1,22 @@
-"""Unit tests for structural analysis (levels, cones, joining points)."""
+"""Unit tests for structural analysis (levels, cones, joining points).
+
+Joining points, depth-bounded fan-in and forward cones are estimator
+queries on compiled ids; their expected sets are pinned here on the
+name-walking reference in ``signal_reference.py``, which the parity
+suite ties to the library.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from signal_reference import ReferenceTopology
+
 from repro.circuit import CircuitBuilder, Topology
 from repro.circuits import c17
+from repro.kernel import compile_circuit
+from repro.probability.conditional import ConditionalEvaluator
+from repro.probability.estimator import SignalProbabilityEstimator
 
 
 def build_diamond():
@@ -55,16 +66,16 @@ def test_tfi():
 
 def test_bounded_tfi_depth():
     circuit = build_diamond()
-    topo = Topology(circuit)
+    topo = ReferenceTopology(circuit)
     assert topo.bounded_tfi("k", 0) == {"k"}
     assert topo.bounded_tfi("k", 1) == {"k", "a", "c"}
     assert topo.bounded_tfi("k", 2) == {"k", "a", "c", "x", "y", "z"}
-    assert topo.bounded_tfi("k", None) == set(topo.tfi("k"))
+    assert topo.bounded_tfi("k", None) == set(Topology(circuit).tfi("k"))
 
 
 def test_joining_points_diamond():
     circuit = build_diamond()
-    topo = Topology(circuit)
+    topo = ReferenceTopology(circuit)
     gate = circuit.gates["k"]
     assert topo.joining_points(gate.inputs) == ["x"]
     # Depth counts edges back from the gate *inputs*: 1 step reaches x,
@@ -79,19 +90,23 @@ def test_joining_points_repeated_signal():
     k = b.and_("k", a, a)
     b.output(k)
     circuit = b.build()
-    topo = Topology(circuit)
+    topo = ReferenceTopology(circuit)
     assert topo.joining_points(circuit.gates["k"].inputs) == ["a"]
+    # The estimator's id-based query keeps the same per-pin semantics.
+    assert SignalProbabilityEstimator(circuit).joining_points_of("k") == ["a"]
 
 
 def test_no_joining_points_in_tree(tree_circuit):
-    topo = Topology(tree_circuit)
+    topo = ReferenceTopology(tree_circuit)
+    estimator = SignalProbabilityEstimator(tree_circuit)
     for gate in tree_circuit.gates.values():
         assert topo.joining_points(gate.inputs) == []
+        assert estimator.joining_points_of(gate.name) == []
 
 
 def test_reconvergent_gates_c17():
     circuit = c17()
-    topo = Topology(circuit)
+    topo = ReferenceTopology(circuit)
     reconv = set(topo.reconvergent_gates())
     # G16 and G19 share stem G11; G22/G23 reconverge through G11 and G16.
     assert "G22" in reconv
@@ -101,7 +116,7 @@ def test_reconvergent_gates_c17():
 
 def test_forward_cone_within():
     circuit = build_diamond()
-    topo = Topology(circuit)
+    topo = ReferenceTopology(circuit)
     allowed = {"x", "a", "c", "k"}
     cone = topo.forward_cone_within(["x"], allowed)
     assert set(cone) == {"a", "c", "k"}
@@ -114,25 +129,24 @@ def test_forward_cone_within():
 
 def test_bounded_tfi_is_cached_per_node_and_depth():
     circuit = c17()
-    topo = Topology(circuit)
+    topo = ReferenceTopology(circuit)
     first = topo.bounded_tfi("G22", 2)
     assert topo.bounded_tfi("G22", 2) is first  # memoized
     assert isinstance(first, frozenset)
     assert topo.bounded_tfi("G22", 1) is not first  # distinct depth key
     # Unbounded queries are cached under the None key too.
     assert topo.bounded_tfi("G22", None) is topo.bounded_tfi("G22", None)
-    assert topo.bounded_tfi("G22", None) == topo.tfi("G22")
+    assert topo.bounded_tfi("G22", None) == Topology(circuit).tfi("G22")
 
 
-def test_bounded_tfi_cache_flag_preserves_legacy_behaviour():
+@pytest.mark.parametrize("depth", [0, 1, 2, None])
+def test_kernel_region_matches_bounded_tfi(depth):
     circuit = c17()
-    cached = Topology(circuit)
-    uncached = Topology(circuit, cache=False)
-    for depth in (1, 2, None):
-        assert set(cached.bounded_tfi("G22", depth)) == \
-            set(uncached.bounded_tfi("G22", depth))
-    # The uncached variant returns a fresh mutable set every call.
-    first = uncached.bounded_tfi("G22", 2)
-    assert first is not uncached.bounded_tfi("G22", 2)
-    first.add("sentinel")  # mutating a copy must not poison later calls
-    assert "sentinel" not in uncached.bounded_tfi("G22", 2)
+    compiled = compile_circuit(circuit)
+    evaluator = ConditionalEvaluator(compiled, depth)
+    topo = ReferenceTopology(circuit)
+    for node in circuit.nodes:
+        region = {compiled.names[i] for i in evaluator.region(
+            compiled.index[node]
+        )}
+        assert region == topo.bounded_tfi(node, depth), node
