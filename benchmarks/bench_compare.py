@@ -23,8 +23,8 @@ run seeds it).
 
 Tracked series (default mode, minutes-scale):
 
-* ``faultsim.mul24.{kernel,legacy,numpy}`` — the ROADMAP acceptance
-  fault-sim workload per backend (256-pattern blocks);
+* ``faultsim.mul24.{kernel,numpy}`` — the ROADMAP acceptance fault-sim
+  workload per backend (256-pattern blocks);
 * ``analyze.s15850`` + ``rss.s15850.<backend>`` — the largest vendored
   netlist through the full analytic pass, in a fresh subprocess;
 * ``sampling.c432.<backend>`` — Monte-Carlo grading throughput;
@@ -185,8 +185,7 @@ def measure_faultsim_mul24():
     circuit = build("mul24")
     n_patterns = 256
     patterns = PatternSet.random(circuit.inputs, n_patterns, seed=7)
-    variants = [("kernel", {"use_kernel": True}),
-                ("legacy", {"use_kernel": False})]
+    variants = [("kernel", {})]
     if get_backend("numpy").is_available():
         variants.append(("numpy", {"backend": "numpy"}))
     rows = []
@@ -276,7 +275,7 @@ def measure_smoke():
     circuit = build("alu")
     n_patterns = 64
     patterns = PatternSet.random(circuit.inputs, n_patterns, seed=7)
-    simulator = FaultSimulator(circuit, use_kernel=True)
+    simulator = FaultSimulator(circuit)
     n_faults = len(simulator.faults)
     start = time.perf_counter()
     simulator.run(patterns, block_size=n_patterns, drop_detected=False)

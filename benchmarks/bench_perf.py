@@ -1,13 +1,12 @@
-"""Tracked performance benchmark: compiled kernel vs. legacy interpreters.
+"""Tracked performance benchmark of the compiled-kernel evaluation paths.
 
-Measures, per circuit and for both execution paths (``use_kernel=True``
-vs. the pre-kernel legacy interpreters kept for parity):
+Measures, per circuit, on the compiled kernel's default (pure-python)
+backend:
 
 * **logic sim** — true-value patterns/sec (:func:`repro.logicsim.simulate`);
 * **fault sim** — faults x patterns/sec (``FaultSimulator.run`` without
   fault dropping, the paper's ``P_SIM`` workload);
-* **analyze** — end-to-end ``AnalysisEngine.analyze()`` wall time (one
-  column: the analytic stages have no legacy path).
+* **analyze** — end-to-end ``AnalysisEngine.analyze()`` wall time.
 
 When numpy is installed the logic-sim and fault-sim rows additionally
 record the numpy word backend (:mod:`repro.backends`) *at this bench's
@@ -52,7 +51,7 @@ from repro.logicsim.simulator import simulate  # noqa: E402
 from repro.telemetry.metrics import set_enabled  # noqa: E402
 
 #: The paper's evaluation circuits plus the largest bundled circuit; the
-#: last entry is the "largest" the acceptance numbers are recorded for.
+#: largest one carries the telemetry-overhead measurement.
 FULL_CIRCUITS = ("alu", "mult", "comp", "div", "mul24")
 SMOKE_CIRCUITS = ("alu", "mult")
 
@@ -75,13 +74,10 @@ def _numpy_available():
 def bench_logic_sim(circuit, n_patterns, repeats):
     patterns = PatternSet.random(circuit.inputs, n_patterns, seed=7)
     out = {}
-    for label, use_kernel in (("kernel", True), ("legacy", False)):
-        simulate(circuit, patterns, use_kernel=use_kernel)  # warm caches
-        elapsed = _best_of(
-            repeats, lambda: simulate(circuit, patterns, use_kernel=use_kernel)
-        )
-        out[f"{label}_s"] = elapsed
-        out[f"{label}_patterns_per_s"] = n_patterns / elapsed
+    simulate(circuit, patterns)  # warm caches
+    elapsed = _best_of(repeats, lambda: simulate(circuit, patterns))
+    out["kernel_s"] = elapsed
+    out["kernel_patterns_per_s"] = n_patterns / elapsed
     if _numpy_available():
         simulate(circuit, patterns, backend="numpy")  # warm plan caches
         elapsed = _best_of(
@@ -90,26 +86,21 @@ def bench_logic_sim(circuit, n_patterns, repeats):
         out["numpy_s"] = elapsed
         out["numpy_patterns_per_s"] = n_patterns / elapsed
     out["n_patterns"] = n_patterns
-    out["speedup"] = out["legacy_s"] / out["kernel_s"]
     return out
 
 
 def bench_fault_sim(circuit, n_patterns):
     patterns = PatternSet.random(circuit.inputs, n_patterns, seed=7)
     out = {}
-    n_faults = None
-    for label, use_kernel in (("kernel", True), ("legacy", False)):
-        simulator = FaultSimulator(circuit, use_kernel=use_kernel)
-        n_faults = len(simulator.faults)
-        start = time.perf_counter()
-        simulator.run(patterns, block_size=n_patterns, drop_detected=False)
-        elapsed = time.perf_counter() - start
-        out[f"{label}_s"] = elapsed
-        out[f"{label}_faults_x_patterns_per_s"] = (
-            n_faults * n_patterns / elapsed
-        )
+    simulator = FaultSimulator(circuit)
+    n_faults = len(simulator.faults)
+    start = time.perf_counter()
+    simulator.run(patterns, block_size=n_patterns, drop_detected=False)
+    elapsed = time.perf_counter() - start
+    out["kernel_s"] = elapsed
+    out["kernel_faults_x_patterns_per_s"] = n_faults * n_patterns / elapsed
     if _numpy_available():
-        # Same protocol as the kernel/legacy rows — one cold run, so
+        # Same protocol as the kernel row — one cold run, so
         # the numpy engine pays its cone-program build inside the timed
         # region exactly like the kernel pays its lazy plan build.
         # bench_backends.py tracks warm steady-state separately.
@@ -123,7 +114,6 @@ def bench_fault_sim(circuit, n_patterns):
         )
     out["n_patterns"] = n_patterns
     out["n_faults"] = n_faults
-    out["speedup"] = out["legacy_s"] / out["kernel_s"]
     return out
 
 
@@ -180,15 +170,15 @@ def run(circuits, sim_patterns, fsim_patterns, repeats, mode):
         print(f"[{name}] {circuit.n_gates} gates", flush=True)
         logic = bench_logic_sim(circuit, sim_patterns, repeats)
         print(
-            f"  logic sim  : {logic['kernel_patterns_per_s']:.3e} pat/s "
-            f"(x{logic['speedup']:.1f} vs legacy)", flush=True,
+            f"  logic sim  : {logic['kernel_patterns_per_s']:.3e} pat/s",
+            flush=True,
         )
         fsim = bench_fault_sim(circuit, fsim_patterns)
         print(
             f"  fault sim  : {fsim['kernel_faults_x_patterns_per_s']:.3e} "
-            f"f*p/s (x{fsim['speedup']:.1f} vs legacy)", flush=True,
+            f"f*p/s", flush=True,
         )
-        for backend in ("kernel", "legacy", "numpy"):
+        for backend in ("kernel", "numpy"):
             value = fsim.get(f"{backend}_faults_x_patterns_per_s")
             if value is not None:
                 append_history(
@@ -231,9 +221,6 @@ def run(circuits, sim_patterns, fsim_patterns, repeats, mode):
         "circuits": results,
         "telemetry": telemetry,
         "largest_circuit": largest,
-        "acceptance": {
-            "fault_sim_speedup_largest": results[largest]["fault_sim"]["speedup"],
-        },
     }
 
 
@@ -266,12 +253,7 @@ def main(argv=None):
         tracked.update(payload)
         payload = tracked
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    acceptance = payload["acceptance"]
-    print(
-        f"\nlargest circuit {payload['largest_circuit']}: "
-        f"fault sim x{acceptance['fault_sim_speedup_largest']:.1f}\n"
-        f"wrote {out}"
-    )
+    print(f"\nwrote {out}")
     return 0
 
 

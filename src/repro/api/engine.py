@@ -125,15 +125,6 @@ class AnalysisEngine:
     faults:
         Optional explicit fault list; defaults to the config-shaped
         uncollapsed stuck-at universe.
-    use_kernel:
-        When true (the default) the simulation and sampling stages run
-        on the shared compiled flat-array kernel (:mod:`repro.kernel`)
-        through the evaluation backend selected by ``config.backend``
-        (:mod:`repro.backends`; ``"auto"`` picks the numpy word engine
-        for large circuits when numpy is importable).  ``False`` selects
-        the legacy simulation interpreters — the bit-identical parity
-        reference.  The analytic stages always run the compiled
-        estimator.
     registry:
         Optional shared :class:`~repro.telemetry.metrics.MetricsRegistry`
         for the stage counters (the service's job manager passes its
@@ -164,7 +155,6 @@ class AnalysisEngine:
         circuit: "Circuit | str",
         config: "ProtestConfig | str | None" = None,
         faults: "Iterable[Fault] | None" = None,
-        use_kernel: bool = True,
         registry: "MetricsRegistry | None" = None,
         profile: bool = False,
     ) -> None:
@@ -178,17 +168,15 @@ class AnalysisEngine:
 
                 circuit = build(circuit)
         self.circuit = circuit
-        self.use_kernel = use_kernel
         self.config = ProtestConfig.coerce(config)
         # Guards every stage cache, the counters, and the lazily built
         # structure (topology, detector, sampler) — see "Thread safety".
         self._lock = threading.RLock()
         self._backend = None
-        if use_kernel:
-            # Fail fast on an unknown or unavailable backend name even
-            # though analytic stages never dispatch through it — a typo
-            # or a missing optional dependency must not silently run.
-            _ = self.backend
+        # Fail fast on an unknown or unavailable backend name even
+        # though analytic stages never dispatch through it — a typo or
+        # a missing optional dependency must not silently run.
+        _ = self.backend
         self._explicit_faults = list(faults) if faults is not None else None
         self._topology: "Topology | None" = None
         self._faults: "List[Fault] | None" = None
@@ -257,7 +245,7 @@ class AnalysisEngine:
 
     @property
     def backend(self):
-        """The nominally resolved evaluation backend (``None`` off-kernel).
+        """The nominally resolved evaluation backend.
 
         ``config.backend`` resolved for this circuit with no workload
         hint — ``"auto"`` picks by circuit size and numpy availability.
@@ -266,8 +254,6 @@ class AnalysisEngine:
         enough to amortize it); the name that *actually ran* is
         recorded per result in ``provenance.backend``.
         """
-        if not self.use_kernel:
-            return None
         with self._lock:
             if self._backend is None:
                 from repro.backends import resolve_backend
@@ -279,8 +265,6 @@ class AnalysisEngine:
 
     def _block_backend(self, block_size: int):
         """``config.backend`` resolved for a concrete block width."""
-        if not self.use_kernel:
-            return None
         from repro.backends import resolve_backend
 
         return resolve_backend(
@@ -289,9 +273,8 @@ class AnalysisEngine:
 
     @property
     def backend_name(self) -> str:
-        """The resolved backend's registry name (``"legacy"`` off-kernel)."""
-        backend = self.backend
-        return backend.name if backend is not None else "legacy"
+        """The resolved backend's registry name."""
+        return self.backend.name
 
     @property
     def compiled(self) -> CompiledCircuit:
@@ -346,8 +329,7 @@ class AnalysisEngine:
                     self.circuit,
                     self.faults,
                     self.config.sampling_plan(),
-                    use_kernel=self.use_kernel,
-                    backend=self.config.backend if self.use_kernel else None,
+                    backend=self.config.backend,
                 )
             return self._sampler
 
@@ -368,16 +350,13 @@ class AnalysisEngine:
         # An engine-owned profiler or one activated by the caller (the
         # CLI's --profile) both collect the memory section.
         profiler = self.profiler or active_profiler()
-        cone = None
-        if self.use_kernel:
-            cone = self.cone_cache_info()
-            self._cone_elems.set(cone["resident_elems"])
-            self._cone_evictions.set(cone["evictions"])
+        cone = self.cone_cache_info()
+        self._cone_elems.set(cone["resident_elems"])
+        self._cone_evictions.set(cone["evictions"])
         if profiler is not None:
             if rss:
                 profiler.record_memory(f"peak_rss_bytes.{stage}", rss)
-            if cone is not None:
-                profiler.record_memory("cone_cache", cone)
+            profiler.record_memory("cone_cache", cone)
 
     def cone_cache_info(self) -> Dict[str, int]:
         """Kernel cone-cache counters, summed across the circuit's live
@@ -414,8 +393,7 @@ class AnalysisEngine:
         """
         if self.profiler is None:
             return None
-        if self.use_kernel:
-            self.profiler.record_memory("cone_cache", self.cone_cache_info())
+        self.profiler.record_memory("cone_cache", self.cone_cache_info())
         return self.profiler.to_payload()
 
     def cache_info(self) -> Dict[str, object]:
@@ -436,8 +414,7 @@ class AnalysisEngine:
             info["cached_input_tuples"] = len(self._signal_cache)
         info["backend"] = self.backend_name
         info["peak_rss_bytes"] = peak_rss_bytes()
-        if self.use_kernel:
-            info["cone_cache"] = self.cone_cache_info()
+        info["cone_cache"] = self.cone_cache_info()
         return info
 
     def clear_cache(self) -> None:
@@ -774,11 +751,10 @@ class AnalysisEngine:
         n = patterns.n_patterns
         checkpoints = [c for c in _CURVE_CHECKPOINTS if c < n] + [n]
         detected = sum(1 for r in raw.records.values() if r.detected)
-        backend = self._block_backend(block_size)
         return SimulationResult(
             provenance=self._provenance(
                 {"simulation": elapsed}, [],
-                backend=backend.name if backend is not None else "legacy",
+                backend=self._block_backend(block_size).name,
             ),
             n_patterns=n,
             n_faults=len(raw.records),
@@ -800,8 +776,6 @@ class AnalysisEngine:
         simulator = FaultSimulator(
             self.circuit,
             fault_list,
-            use_kernel=self.use_kernel,
-            topology=self._topology,
             backend=self._block_backend(block_size),
         )
         with self._profiled():

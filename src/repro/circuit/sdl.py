@@ -28,6 +28,7 @@ from typing import List
 from repro.circuit.netlist import Circuit, Gate
 from repro.circuit.types import GateType
 from repro.errors import ParseError
+from repro.resilience.atomic import atomic_write
 
 __all__ = ["parse_sdl", "format_sdl", "load_sdl", "save_sdl"]
 
@@ -135,5 +136,4 @@ def load_sdl(path: str) -> Circuit:
 
 def save_sdl(circuit: Circuit, path: str) -> None:
     """Write a circuit to an SDL file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_sdl(circuit))
+    atomic_write(path, lambda handle: handle.write(format_sdl(circuit)))

@@ -7,6 +7,7 @@ from typing import Sequence, Tuple
 from repro.circuit.netlist import Circuit
 from repro.circuit.types import GateType
 from repro.errors import CircuitError
+from repro.resilience.atomic import atomic_write
 
 __all__ = ["format_bench", "save_bench"]
 
@@ -76,5 +77,4 @@ def format_bench(
 
 def save_bench(circuit: Circuit, path: str) -> None:
     """Write a circuit to a ``.bench`` file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_bench(circuit))
+    atomic_write(path, lambda handle: handle.write(format_bench(circuit)))

@@ -52,6 +52,7 @@ from repro.circuits.library import REGISTRY, build, names
 from repro.errors import ReproError
 from repro.faults.coverage import TABLE6_CHECKPOINTS
 from repro.report.tables import ascii_table, format_count
+from repro.resilience.atomic import atomic_write
 from repro.sampling.intervals import INTERVAL_METHODS
 from repro.sampling.montecarlo import SamplingPlan
 from repro.telemetry.logs import LOG_LEVELS
@@ -201,8 +202,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         print(f"log J_N: {result.initial_score:.2f} -> {result.score:.2f} "
               f"({result.rounds} rounds, {result.evaluations} evaluations)")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(result.probabilities, handle, indent=2, sort_keys=True)
+        atomic_write(args.output, lambda handle: json.dump(
+            result.probabilities, handle, indent=2, sort_keys=True
+        ))
         if not args.json:
             print(f"optimized probabilities written to {args.output}")
     elif not args.json:
@@ -525,8 +527,9 @@ def main(argv: "List[str] | None" = None) -> int:
         export_chrome_trace(trace_path, trace_id=root.trace_id)
         print(f"trace written to {trace_path}", file=sys.stderr)
     if profiler is not None:
-        with open(profile_path, "w", encoding="utf-8") as handle:
-            json.dump(profiler.to_payload(), handle, indent=2, sort_keys=True)
+        atomic_write(profile_path, lambda handle: json.dump(
+            profiler.to_payload(), handle, indent=2, sort_keys=True
+        ))
         print(f"profile written to {profile_path}", file=sys.stderr)
     return status
 

@@ -18,27 +18,23 @@ Block propagation runs on a pluggable evaluation backend
 the ``"python"`` backend packs faults into big-int lanes and propagates
 the merged difference region, the ``"numpy"`` backend sweeps
 register-allocated fan-out-cone programs over word matrices — every
-backend produces bit-identical detection words.  ``use_kernel=False``
-selects the legacy event-driven interpreter (parity reference and perf
-baseline).  The single-fault :meth:`FaultSimulator.detection_word`
-primitive (ATPG, the exact enumerator) always runs on the packed
-python kernel regardless of backend.
+backend produces bit-identical detection words.  The single-fault
+:meth:`FaultSimulator.detection_word` primitive (ATPG, the exact
+enumerator) always runs on the packed python kernel regardless of
+backend.  The parity tests compare both against the full-resimulation
+reference in ``tests/sim_reference.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.circuit.netlist import Circuit
-from repro.circuit.topology import Topology
-from repro.circuit.types import eval_packed
 from repro.errors import SimulationError
 from repro.faults.model import Fault, fault_universe
 from repro.kernel import compile_circuit
 from repro.logicsim.patterns import PatternSet
-from repro.logicsim.simulator import simulate
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.profiling import phase_if_active
 from repro.telemetry.tracing import span
@@ -141,74 +137,41 @@ class FaultSimResult:
 
 
 class FaultSimulator:
-    """Stuck-at fault simulator for one circuit.
-
-    ``topology`` lets callers (the :class:`repro.api.AnalysisEngine`)
-    share an already-built structural view; it is only materialized when
-    the legacy path needs it.
-    """
+    """Stuck-at fault simulator for one circuit."""
 
     def __init__(
         self,
         circuit: Circuit,
         faults: "Iterable[Fault] | None" = None,
-        use_kernel: bool = True,
-        topology: "Topology | None" = None,
         backend=None,
     ) -> None:
+        from repro.backends import resolve_backend
+
         self.circuit = circuit
-        self._topology = topology
         self._gates = circuit.gates
-        self._output_set = frozenset(circuit.outputs)
-        self._use_kernel = use_kernel
         self.faults: List[Fault] = (
             list(faults) if faults is not None else fault_universe(circuit)
         )
         for fault in self.faults:
             self._check_fault(fault)
-        if use_kernel:
-            from repro.backends import resolve_backend
-
-            self._backend = resolve_backend(backend, circuit)
-            self._compiled = compile_circuit(circuit, self._backend)
-            self._scratch = self._backend.make_scratch(
-                self._compiled, self.faults
-            )
-        else:
-            if backend is not None:
-                raise SimulationError(
-                    "backend selection requires the compiled kernel "
-                    "(use_kernel=True)"
-                )
-            self._backend = None
-            self._compiled = None
-            self._scratch = None
-        if self._compiled is not None:
-            n = self._compiled.n_nodes
-            # Version-stamped overlay scratch of the single-fault
-            # detection_word path (owned per simulator so one compiled
-            # artifact can serve concurrent simulators).
-            self._faulty = [0] * n
-            self._stamp = [0] * n
-            self._version = 0
-            self._spec_cache: Dict[Fault, tuple] = {}
-            self._last_good: "Mapping[str, int] | None" = None
-            self._last_good_arr: "List[int] | None" = None
+        self._backend = resolve_backend(backend, circuit)
+        self._compiled = compile_circuit(circuit, self._backend)
+        self._scratch = self._backend.make_scratch(self._compiled, self.faults)
+        # Version-stamped overlay scratch of the single-fault
+        # detection_word path (owned per simulator so one compiled
+        # artifact can serve concurrent simulators).
+        n = self._compiled.n_nodes
+        self._faulty = [0] * n
+        self._stamp = [0] * n
+        self._version = 0
+        self._spec_cache: Dict[Fault, tuple] = {}
+        self._last_good: "Mapping[str, int] | None" = None
+        self._last_good_arr: "List[int] | None" = None
 
     @property
     def backend(self):
-        """The active block-evaluation backend (``None`` on the legacy path)."""
+        """The active block-evaluation backend."""
         return self._backend
-
-    @property
-    def topology(self) -> Topology:
-        if self._topology is None:
-            self._topology = Topology(self.circuit)
-        return self._topology
-
-    @property
-    def _topo_index(self) -> Dict[str, int]:
-        return self.topology.topo_index
 
     def _check_fault(self, fault: Fault) -> None:
         if fault.pin is None:
@@ -243,9 +206,7 @@ class FaultSimulator:
             raise SimulationError("empty pattern set")
         if block_size < 1:
             raise SimulationError("block_size must be positive")
-        backend_name = (
-            self._backend.name if self._backend is not None else "legacy"
-        )
+        backend_name = self._backend.name
         records = {fault: FaultRecord(fault) for fault in self.faults}
         evaluated = 0
         with span(
@@ -260,44 +221,27 @@ class FaultSimulator:
                 stop = min(offset + block_size, patterns.n_patterns)
                 block = patterns.slice(offset, stop)
                 mask = block.mask
-                if self._compiled is not None:
-                    alive = [
-                        fault
-                        for fault in self.faults
-                        if not (drop_detected and records[fault].detected)
-                    ]
-                    if alive:
-                        with span(
-                            "backend.fault_sim_words",
-                            backend=backend_name,
-                            faults=len(alive),
-                            patterns=block.n_patterns,
-                        ), phase_if_active(backend_name):
-                            detect_words = self._backend.fault_sim_words(
-                                self._compiled, self._scratch, alive,
-                                block.words, mask, block.n_patterns,
-                            )
-                        evaluated += len(alive) * block.n_patterns
-                        for fault in alive:
-                            record = records[fault]
-                            record.simulated_patterns += block.n_patterns
-                            detect = detect_words.get(fault, 0)
-                            if detect:
-                                record.detect_count += detect.bit_count()
-                                if record.first_detect is None:
-                                    first = (detect & -detect).bit_length() - 1
-                                    record.first_detect = offset + first
-                else:
-                    good_map = simulate(self.circuit, block, use_kernel=False)
-                    for fault in self.faults:
-                        record = records[fault]
-                        if drop_detected and record.detected:
-                            continue
-                        detect = self._legacy_detection_word(
-                            fault, good_map, mask
+                alive = [
+                    fault
+                    for fault in self.faults
+                    if not (drop_detected and records[fault].detected)
+                ]
+                if alive:
+                    with span(
+                        "backend.fault_sim_words",
+                        backend=backend_name,
+                        faults=len(alive),
+                        patterns=block.n_patterns,
+                    ), phase_if_active(backend_name):
+                        detect_words = self._backend.fault_sim_words(
+                            self._compiled, self._scratch, alive,
+                            block.words, mask, block.n_patterns,
                         )
+                    evaluated += len(alive) * block.n_patterns
+                    for fault in alive:
+                        record = records[fault]
                         record.simulated_patterns += block.n_patterns
-                        evaluated += block.n_patterns
+                        detect = detect_words.get(fault, 0)
                         if detect:
                             record.detect_count += detect.bit_count()
                             if record.first_detect is None:
@@ -331,17 +275,15 @@ class FaultSimulator:
         :func:`repro.logicsim.simulate`); bit *j* of the result is set when
         pattern *j* detects the fault at some primary output.
         """
-        if self._compiled is not None:
-            # Callers (ATPG, the exact enumerator) loop many faults over
-            # one good mapping: convert it to a flat array once.  The
-            # strong reference keeps the id stable while memoized.
-            if self._last_good is not good:
-                self._last_good_arr = self._compiled.values_from_dict(good)
-                self._last_good = good
-            return self._kernel_detection_word(
-                self._fault_spec(fault), self._last_good_arr, mask
-            )
-        return self._legacy_detection_word(fault, good, mask)
+        # Callers (ATPG, the exact enumerator) loop many faults over one
+        # good mapping: convert it to a flat array once.  The strong
+        # reference keeps the id stable while memoized.
+        if self._last_good is not good:
+            self._last_good_arr = self._compiled.values_from_dict(good)
+            self._last_good = good
+        return self._kernel_detection_word(
+            self._fault_spec(fault), self._last_good_arr, mask
+        )
 
     # -- compiled-kernel propagation ------------------------------------------------
 
@@ -412,58 +354,4 @@ class FaultSimulator:
             stamp[i] = version
             if is_out:
                 detect |= word ^ good[i]
-        return detect & mask
-
-    # -- legacy event-driven propagation --------------------------------------------
-
-    def _legacy_detection_word(
-        self,
-        fault: Fault,
-        good: Mapping[str, int],
-        mask: int,
-    ) -> int:
-        """Heap-scheduled difference propagation (pre-kernel behaviour)."""
-        forced = mask if fault.value else 0
-        overlay: Dict[str, int] = {}
-        detect = 0
-        heap: List[tuple] = []
-        queued = set()
-        topo_index = self._topo_index
-        branches = self.topology.branches
-
-        def schedule(node: str) -> None:
-            for consumer, _pin in branches[node]:
-                if consumer not in queued:
-                    queued.add(consumer)
-                    heapq.heappush(heap, (topo_index[consumer], consumer))
-
-        first_gate: Optional[str] = None
-        if fault.pin is None:
-            diff = good[fault.node] ^ forced
-            if diff == 0:
-                return 0
-            overlay[fault.node] = forced
-            if fault.node in self._output_set:
-                detect |= diff
-            schedule(fault.node)
-        else:
-            first_gate = fault.node
-            queued.add(first_gate)
-            heapq.heappush(heap, (topo_index[first_gate], first_gate))
-
-        while heap:
-            _, name = heapq.heappop(heap)
-            gate = self._gates[name]
-            operands = [
-                overlay.get(src, good[src]) for src in gate.inputs
-            ]
-            if name == first_gate and fault.pin is not None:
-                operands[fault.pin] = forced
-            word = eval_packed(gate.gtype, operands, mask, gate.table)
-            if word == good[name]:
-                continue
-            overlay[name] = word
-            if name in self._output_set:
-                detect |= word ^ good[name]
-            schedule(name)
         return detect & mask

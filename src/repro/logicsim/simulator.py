@@ -6,8 +6,9 @@ words (bit *j* = value under pattern *j*).
 
 Evaluation runs on the compiled flat-array kernel
 (:mod:`repro.kernel`), compiled once per circuit and shared with the
-fault simulator and the estimator; ``use_kernel=False`` selects the
-legacy per-gate dict interpreter (parity reference and perf baseline).
+fault simulator and the estimator.  The independent name-walking
+reference the parity tests compare against lives in
+``tests/sim_reference.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping
 
 from repro.circuit.netlist import Circuit
-from repro.circuit.types import eval_packed
 from repro.errors import SimulationError
 from repro.kernel import compile_circuit
 from repro.logicsim.patterns import PatternSet
@@ -28,7 +28,6 @@ def simulate(
     circuit: Circuit,
     patterns: PatternSet,
     overrides: "Mapping[str, int] | None" = None,
-    use_kernel: bool = True,
     backend=None,
 ) -> Dict[str, int]:
     """Simulate and return the packed value of every node.
@@ -46,51 +45,22 @@ def simulate(
         for node in overrides:
             if not circuit.has_node(node):
                 raise SimulationError(f"override on unknown node {node!r}")
-    if use_kernel:
-        from repro.backends import resolve_backend
+    from repro.backends import resolve_backend
 
-        resolved = resolve_backend(backend, circuit,
-                                   block_bits=patterns.n_patterns)
-        compiled = compile_circuit(circuit, resolved)
-        profiler = active_profiler()
-        if profiler is None:
-            values = resolved.simulate_words(compiled, patterns.words, mask,
-                                             overrides)
-        else:
-            # Profiler-only phase (no span): true-value simulation sits
-            # inside hot loops and must stay span-free when unobserved.
-            with profiler.phase(f"backend.simulate_words.{resolved.name}"):
-                values = resolved.simulate_words(compiled, patterns.words,
-                                                 mask, overrides)
-        return compiled.values_as_dict(values)
-    if backend is not None:
-        raise SimulationError(
-            "backend selection requires the compiled kernel "
-            "(use_kernel=True)"
-        )
-    return _simulate_legacy(circuit, patterns, overrides, mask)
-
-
-def _simulate_legacy(
-    circuit: Circuit,
-    patterns: PatternSet,
-    overrides: "Mapping[str, int] | None",
-    mask: int,
-) -> Dict[str, int]:
-    """The per-gate dict-walking interpreter (pre-kernel behaviour)."""
-    values: Dict[str, int] = {}
-    for name in circuit.inputs:
-        values[name] = patterns.words[name]
-    if overrides:
-        for node, word in overrides.items():
-            values[node] = word & mask
-    for node in circuit.nodes:
-        if node in values:
-            continue
-        gate = circuit.gates[node]
-        operands = [values[src] for src in gate.inputs]
-        values[node] = eval_packed(gate.gtype, operands, mask, gate.table)
-    return values
+    resolved = resolve_backend(backend, circuit,
+                               block_bits=patterns.n_patterns)
+    compiled = compile_circuit(circuit, resolved)
+    profiler = active_profiler()
+    if profiler is None:
+        values = resolved.simulate_words(compiled, patterns.words, mask,
+                                         overrides)
+    else:
+        # Profiler-only phase (no span): true-value simulation sits
+        # inside hot loops and must stay span-free when unobserved.
+        with profiler.phase(f"backend.simulate_words.{resolved.name}"):
+            values = resolved.simulate_words(compiled, patterns.words,
+                                             mask, overrides)
+    return compiled.values_as_dict(values)
 
 
 def simulate_outputs(

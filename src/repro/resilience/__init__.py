@@ -24,6 +24,7 @@ distrust itself.  Four cooperating pieces:
   backends.
 """
 
+from repro.resilience.atomic import atomic_write
 from repro.resilience.chaos import (
     ChaosKill,
     ChaosPlan,

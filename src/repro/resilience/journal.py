@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ResilienceError
+from repro.resilience.atomic import atomic_write
 
 __all__ = ["JobJournal"]
 
@@ -65,19 +65,11 @@ class JobJournal:
     def _sync_locked(self) -> None:
         if self.path is None:
             return
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        fd, tmp = tempfile.mkstemp(
-            prefix=".protest-journal-", suffix=".tmp", dir=directory
-        )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self._entries, handle, sort_keys=True)
-            os.replace(tmp, self.path)
+            atomic_write(self.path, lambda handle: json.dump(
+                self._entries, handle, sort_keys=True
+            ))
         except OSError as error:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             raise ResilienceError(
                 f"cannot persist journal to {self.path!r}: {error}"
             ) from error

@@ -54,7 +54,6 @@ from repro.errors import (
 from repro.faults.model import Fault, fault_universe
 from repro.faults.simulator import FaultSimulator
 from repro.logicsim.patterns import PatternSet
-from repro.logicsim.simulator import simulate
 from repro.resilience.chaos import chaos_point
 from repro.sampling.intervals import (
     INTERVAL_METHODS,
@@ -322,9 +321,8 @@ class MonteCarloEstimator:
     (defaulting to the full uncollapsed universe) and the plan.  All
     simulation runs on the shared compiled kernel through the selected
     evaluation ``backend`` (:mod:`repro.backends`; ``None`` is the
-    pure-python engine) unless ``use_kernel=False`` selects the legacy
-    interpreters.  Every backend produces bit-identical detection words
-    and block counts, hence seed-identical samples.
+    pure-python engine).  Every backend produces bit-identical detection
+    words and block counts, hence seed-identical samples.
     """
 
     def __init__(
@@ -332,14 +330,12 @@ class MonteCarloEstimator:
         circuit: Circuit,
         faults: "Iterable[Fault] | None" = None,
         plan: "SamplingPlan | None" = None,
-        use_kernel: bool = True,
         backend=None,
         fallback: bool = True,
         profile: bool = False,
     ) -> None:
         self.circuit = circuit
         self.plan = plan if plan is not None else SamplingPlan()
-        self.use_kernel = use_kernel
         # Opt-in phase profiler (repro.telemetry.profiling): the two
         # sampling entry points activate it, so block spans and backend
         # word calls aggregate per phase.  Honours the telemetry
@@ -354,21 +350,13 @@ class MonteCarloEstimator:
         #: Degradation events: ``{"block", "backend", "error"}`` per
         #: mid-run fallback, in occurrence order.
         self.degraded: List[Dict[str, object]] = []
-        if use_kernel:
-            from repro.backends import resolve_backend
+        from repro.backends import resolve_backend
 
-            # "auto" resolves against this estimator's real workload
-            # shape: blocks of ``plan.block_size`` patterns.
-            self.backend = resolve_backend(
-                backend, circuit, block_bits=self.plan.block_size
-            )
-        else:
-            if backend is not None:
-                raise SimulationError(
-                    "backend selection requires the compiled kernel "
-                    "(use_kernel=True)"
-                )
-            self.backend = None
+        # "auto" resolves against this estimator's real workload shape:
+        # blocks of ``plan.block_size`` patterns.
+        self.backend = resolve_backend(
+            backend, circuit, block_bits=self.plan.block_size
+        )
         universe = list(faults) if faults is not None else fault_universe(circuit)
         self.fault_universe = universe
         self.faults = stratified_fault_sample(
@@ -378,7 +366,7 @@ class MonteCarloEstimator:
 
     @property
     def backend_name(self) -> str:
-        """The resolved backend's name (``"legacy"`` off-kernel).
+        """The resolved backend's name.
 
         After a mid-run degradation the name records the event
         truthfully as ``"<original>-><fallback>"`` (e.g.
@@ -386,8 +374,6 @@ class MonteCarloEstimator:
         ``Provenance.backend``, so a report computed on a degraded
         engine can never masquerade as a clean run.
         """
-        if self.backend is None:
-            return "legacy"
         if self.degraded:
             return f"{self.degraded[0]['backend']}->{self.backend.name}"
         return self.backend.name
@@ -406,8 +392,7 @@ class MonteCarloEstimator:
     def simulator(self) -> FaultSimulator:
         if self._simulator is None:
             self._simulator = FaultSimulator(
-                self.circuit, self.faults, use_kernel=self.use_kernel,
-                backend=self.backend,
+                self.circuit, self.faults, backend=self.backend,
             )
         return self._simulator
 
@@ -430,18 +415,11 @@ class MonteCarloEstimator:
     def _block_counter(self):
         """Per-node one-counts of one pattern block, backend-dispatched.
 
-        On the kernel path the block stream stays in the backend's word
-        domain (the numpy engine counts bits on the value matrix without
-        materializing python integers); every backend produces identical
-        counts, so sampled results are seed-identical across backends.
+        The block stream stays in the backend's word domain (the numpy
+        engine counts bits on the value matrix without materializing
+        python integers); every backend produces identical counts, so
+        sampled results are seed-identical across backends.
         """
-        if not self.use_kernel:
-            def legacy(patterns):
-                values = simulate(self.circuit, patterns, use_kernel=False)
-                return [
-                    (node, word.bit_count()) for node, word in values.items()
-                ]
-            return legacy
         from repro.kernel import compile_circuit
 
         backend = self.backend
@@ -699,18 +677,13 @@ class MonteCarloEstimator:
     def _degrade_or_raise(self, error: Exception, index: int) -> None:
         """Fall back to the python engine, or surface a BackendFailure.
 
-        Degradation requires the kernel path, an enabled fallback, and
-        a backend that is not already the pure-python engine; the
-        failed block is then re-run on ``"python"`` — bit-identical
-        counts by the parity contract, so a degraded run continues the
-        *same* statistical stream.
+        Degradation requires an enabled fallback and a backend that is
+        not already the pure-python engine; the failed block is then
+        re-run on ``"python"`` — bit-identical counts by the parity
+        contract, so a degraded run continues the *same* statistical
+        stream.
         """
-        can_fall_back = (
-            self.use_kernel
-            and self.fallback
-            and self.backend is not None
-            and self.backend.name != "python"
-        )
+        can_fall_back = self.fallback and self.backend.name != "python"
         if not can_fall_back:
             raise BackendFailure(
                 f"evaluation backend {self.backend_name!r} failed at "

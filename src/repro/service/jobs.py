@@ -85,6 +85,7 @@ from repro.errors import (
     WorkerCrashed,
 )
 from repro.probability.estimator import input_probs_key
+from repro.resilience.atomic import atomic_write
 from repro.resilience.chaos import ChaosKill, chaos_point
 from repro.resilience.journal import JobJournal
 from repro.resilience.policy import RetryPolicy, error_payload
@@ -819,9 +820,9 @@ class JobManager:
             return
         path = os.path.join(self.trace_dir, f"profile-{job.id}.json")
         try:
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(job.profile_payload, handle, indent=2,
-                          sort_keys=True)
+            atomic_write(path, lambda handle: json.dump(
+                job.profile_payload, handle, indent=2, sort_keys=True
+            ))
         except OSError as error:
             self._log.warning(
                 "profile export failed",

@@ -36,6 +36,7 @@ from collections import deque
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.errors import ReproError
+from repro.resilience.atomic import atomic_write
 from repro.telemetry.metrics import enabled
 from repro.telemetry.profiling import active_profiler as _active_profiler
 
@@ -275,7 +276,10 @@ def export_chrome_trace(
     ``protest analyze --trace out.json`` dumps the whole command).
     """
     payload = chrome_trace_payload(events, trace_id)
-    with open(path, "w", encoding="utf-8") as handle:
+
+    def write(handle):
         json.dump(payload, handle, indent=None, separators=(",", ":"))
         handle.write("\n")
+
+    atomic_write(path, write)
     return len(payload["traceEvents"])

@@ -29,11 +29,8 @@ from repro.backends import (
 )
 from repro.backends import base as backends_base
 from repro.circuits.library import build
-from repro.errors import BackendError, EstimationError, SimulationError
-from repro.faults.simulator import FaultSimulator
+from repro.errors import BackendError, EstimationError
 from repro.kernel import compile_circuit
-from repro.logicsim.patterns import PatternSet
-from repro.logicsim.simulator import simulate
 from repro.sampling.montecarlo import MonteCarloEstimator
 
 numpy_available = get_backend("numpy").is_available()
@@ -245,31 +242,11 @@ def test_engine_resolves_and_reports_backend():
     assert round_tripped.provenance.backend == "python"
 
 
-def test_legacy_engine_reports_legacy_backend():
-    engine = AnalysisEngine("c17", "fast", use_kernel=False)
-    assert engine.backend is None
-    assert engine.backend_name == "legacy"
-    # The analytic stages have one path, the compiled estimator, so an
-    # analyze() report names it whatever the simulation interpreters are.
-    assert engine.analyze().provenance.backend == "python"
-
-
 def test_engine_unknown_backend_fails_fast():
     # The config itself stays lazy (third-party backends may register
     # later), but engine construction resolves the name and raises.
     with pytest.raises(BackendError):
         AnalysisEngine("c17", ProtestConfig(backend="not-a-backend"))
-
-
-def test_legacy_paths_reject_backend_selection():
-    circuit = build("c17")
-    patterns = PatternSet.random(circuit.inputs, 16, seed=1)
-    with pytest.raises(SimulationError):
-        simulate(circuit, patterns, use_kernel=False, backend="python")
-    with pytest.raises(SimulationError):
-        FaultSimulator(circuit, use_kernel=False, backend="python")
-    with pytest.raises(SimulationError):
-        MonteCarloEstimator(circuit, use_kernel=False, backend="python")
 
 
 @needs_numpy

@@ -4,37 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from sim_reference import ReferenceFaultSimulator
+
 from repro.circuit import CircuitBuilder
-from repro.circuit.types import eval_packed
 from repro.circuits import c17, parity_tree
 from repro.errors import SimulationError
 from repro.faults import Fault, FaultSimulator, fault_universe
 from repro.logicsim import PatternSet, simulate
-
-
-def naive_detection_word(circuit, fault, patterns):
-    """Full-resimulation reference implementation."""
-    good = simulate(circuit, patterns)
-    mask = patterns.mask
-    forced = mask if fault.value else 0
-    values = {name: patterns.words[name] for name in circuit.inputs}
-    if fault.pin is None and circuit.is_input(fault.node):
-        values[fault.node] = forced
-    for node in circuit.nodes:
-        if circuit.is_input(node):
-            continue
-        gate = circuit.gates[node]
-        operands = [values[s] for s in gate.inputs]
-        if fault.pin is not None and node == fault.node:
-            operands[fault.pin] = forced
-        word = eval_packed(gate.gtype, operands, mask, gate.table)
-        if fault.pin is None and node == fault.node:
-            word = forced
-        values[node] = word
-    detect = 0
-    for out in circuit.outputs:
-        detect |= values[out] ^ good[out]
-    return detect & mask
 
 
 @pytest.mark.parametrize("factory", [c17, lambda: parity_tree(6)])
@@ -43,10 +19,11 @@ def test_event_driven_matches_naive(factory):
     patterns = PatternSet.exhaustive(circuit.inputs)
     faults = fault_universe(circuit)
     simulator = FaultSimulator(circuit, faults)
+    reference = ReferenceFaultSimulator(circuit)
     good = simulate(circuit, patterns)
     for fault in faults:
         fast = simulator.detection_word(fault, good, patterns.mask)
-        slow = naive_detection_word(circuit, fault, patterns)
+        slow = reference.detection_word(fault, patterns)
         assert fast == slow, str(fault)
 
 

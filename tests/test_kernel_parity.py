@@ -1,11 +1,11 @@
-"""Parity suite: compiled kernel vs. legacy interpreters vs. backends.
+"""Parity suite: compiled kernel vs. the name-walking references vs. backends.
 
 The compiled flat-array kernel (:mod:`repro.kernel`) must be *bit-identical*
-to the legacy per-gate interpreters for packed simulation and fault
-simulation, and the estimator pipeline must equal (``==``) the
-name-walking reference in ``signal_reference.py``.  Every test here runs
-both paths on the same inputs — randomized DAGs (with LUTs) plus the
-paper's bundled circuits — and compares exhaustively.
+to the name-walking reference in ``sim_reference.py`` for packed
+simulation and fault simulation, and the estimator pipeline must equal
+(``==``) the reference in ``signal_reference.py``.  Every test here runs
+both on the same inputs — randomized DAGs (with LUTs), the paper's
+bundled circuits and every library circuit — and compares exhaustively.
 
 The same contract extends to the evaluation backends
 (:mod:`repro.backends`): the numpy word engine must produce bit-identical
@@ -21,6 +21,7 @@ import random
 import pytest
 
 from signal_reference import ReferenceSignalEstimator
+from sim_reference import ReferenceFaultSimulator, reference_simulate
 
 from repro.api import AnalysisEngine
 from repro.backends import get_backend
@@ -122,18 +123,14 @@ def test_eval_packed_rejects_unknown_gate_type():
 def test_simulate_parity_bundled(name):
     circuit = build(name)
     patterns = PatternSet.random(circuit.inputs, 257, seed=11)
-    kernel = simulate(circuit, patterns, use_kernel=True)
-    legacy = simulate(circuit, patterns, use_kernel=False)
-    assert kernel == legacy
+    assert simulate(circuit, patterns) == reference_simulate(circuit, patterns)
 
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_simulate_parity_random_dags(seed):
     circuit = random_dag(6, 40, seed=seed, lut_fraction=0.2)
     patterns = PatternSet.exhaustive(circuit.inputs)
-    kernel = simulate(circuit, patterns, use_kernel=True)
-    legacy = simulate(circuit, patterns, use_kernel=False)
-    assert kernel == legacy
+    assert simulate(circuit, patterns) == reference_simulate(circuit, patterns)
 
 
 def test_simulate_parity_with_overrides():
@@ -141,27 +138,38 @@ def test_simulate_parity_with_overrides():
     patterns = PatternSet.random(circuit.inputs, 64, seed=5)
     gate = next(iter(circuit.gates))
     overrides = {gate: 0x5A5A, circuit.inputs[0]: 0}
-    kernel = simulate(circuit, patterns, overrides, use_kernel=True)
-    legacy = simulate(circuit, patterns, overrides, use_kernel=False)
-    assert kernel == legacy
+    assert simulate(circuit, patterns, overrides) == \
+        reference_simulate(circuit, patterns, overrides)
+
+
+@pytest.mark.parametrize("name", sorted(library_names()))
+def test_simulate_parity_library(name):
+    circuit = build(name)
+    patterns = PatternSet.random(circuit.inputs, 193, seed=13)
+    assert simulate(circuit, patterns) == reference_simulate(circuit, patterns)
 
 
 # -- fault simulation ----------------------------------------------------------
 
 
-def _assert_fault_parity(circuit, patterns, block_size, drop):
-    kernel = FaultSimulator(circuit, use_kernel=True).run(
+def _fault_records(circuit, faults, patterns, block_size=33, drop=False,
+                   backend=None):
+    result = FaultSimulator(circuit, faults, backend=backend).run(
         patterns, block_size=block_size, drop_detected=drop
     )
-    legacy = FaultSimulator(circuit, use_kernel=False).run(
-        patterns, block_size=block_size, drop_detected=drop
+    return {
+        fault: (r.detect_count, r.first_detect, r.simulated_patterns)
+        for fault, r in result.records.items()
+    }
+
+
+def _assert_fault_parity(circuit, patterns, block_size, drop, faults=None):
+    faults = faults if faults is not None else FaultSimulator(circuit).faults
+    kernel = _fault_records(circuit, faults, patterns, block_size, drop)
+    reference = ReferenceFaultSimulator(circuit).records(
+        faults, patterns, block_size, drop
     )
-    assert kernel.records.keys() == legacy.records.keys()
-    for fault, krec in kernel.records.items():
-        lrec = legacy.records[fault]
-        assert krec.detect_count == lrec.detect_count, fault
-        assert krec.first_detect == lrec.first_detect, fault
-        assert krec.simulated_patterns == lrec.simulated_patterns, fault
+    assert kernel == reference
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -181,15 +189,24 @@ def test_fault_sim_parity_random_dags(seed, drop):
     _assert_fault_parity(circuit, patterns, block_size=17, drop=drop)
 
 
+@pytest.mark.parametrize("name", sorted(library_names()))
+def test_fault_sim_parity_library(name):
+    circuit = build(name)
+    faults = _fault_slice(name, FaultSimulator(circuit).faults)
+    patterns = PatternSet.random(circuit.inputs, 77, seed=29)
+    _assert_fault_parity(circuit, patterns, block_size=33, drop=True,
+                         faults=faults)
+
+
 def test_detection_word_parity_single_faults():
     circuit = build("alu")
     patterns = PatternSet.random(circuit.inputs, 48, seed=3)
     good = simulate(circuit, patterns)
-    kernel_sim = FaultSimulator(circuit, use_kernel=True)
-    legacy_sim = FaultSimulator(circuit, use_kernel=False)
-    for fault in kernel_sim.faults:
-        assert kernel_sim.detection_word(fault, good, patterns.mask) == \
-            legacy_sim.detection_word(fault, good, patterns.mask), fault
+    simulator = FaultSimulator(circuit)
+    reference = ReferenceFaultSimulator(circuit)
+    for fault in simulator.faults:
+        assert simulator.detection_word(fault, good, patterns.mask) == \
+            reference.detection_word(fault, patterns), fault
 
 
 # -- estimator / analyze() end-to-end ------------------------------------------
@@ -197,25 +214,17 @@ def test_detection_word_parity_single_faults():
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_analyze_parity_bundled(name):
-    kernel_engine = AnalysisEngine(name, "paper", use_kernel=True)
-    legacy_engine = AnalysisEngine(name, "paper", use_kernel=False)
-    kernel_report = kernel_engine.analyze()
-    legacy_report = legacy_engine.analyze()
-    # Signal probabilities: identical to the name-walking reference.
-    circuit = kernel_engine.circuit
+    engine = AnalysisEngine(name, "paper")
+    report = engine.analyze()
+    # The report's signal stage is identical to the name-walking
+    # reference, and the report covers every fault of the engine.
     reference, conditioned = ReferenceSignalEstimator(
-        circuit, kernel_engine.config.estimator_params()
+        engine.circuit, engine.config.estimator_params()
     ).run()
-    kernel_signal = kernel_engine.raw_signal_probabilities()
-    assert dict(kernel_signal) == reference
-    assert kernel_signal.conditioned_nodes == conditioned
-    assert dict(legacy_engine.raw_signal_probabilities()) == reference
-    # Detection probabilities and the derived report agree exactly.
-    assert kernel_engine.raw_detection_probabilities() == \
-        legacy_engine.raw_detection_probabilities()
-    assert kernel_report.test_lengths == legacy_report.test_lengths
-    assert kernel_report.n_faults == legacy_report.n_faults
-    assert kernel_report.min_detection == legacy_report.min_detection
+    signal = engine.raw_signal_probabilities()
+    assert dict(signal) == reference
+    assert signal.conditioned_nodes == conditioned
+    assert report.n_faults == len(engine.faults)
 
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
@@ -244,15 +253,6 @@ def test_kernel_engine_cache_contract_still_holds():
 # -- cross-backend parity (python vs numpy word engine) ------------------------
 
 
-def _backend_fault_records(circuit, faults, patterns, backend, drop=False):
-    simulator = FaultSimulator(circuit, faults, backend=backend)
-    result = simulator.run(patterns, block_size=33, drop_detected=drop)
-    return {
-        fault: (r.detect_count, r.first_detect, r.simulated_patterns)
-        for fault, r in result.records.items()
-    }
-
-
 @needs_numpy
 @pytest.mark.parametrize("name", sorted(library_names()))
 def test_numpy_backend_simulate_parity_library(name):
@@ -270,8 +270,8 @@ def test_numpy_backend_fault_sim_parity_library(name):
     simulator = FaultSimulator(circuit)
     faults = _fault_slice(name, simulator.faults)
     patterns = PatternSet.random(circuit.inputs, 77, seed=29)
-    python = _backend_fault_records(circuit, faults, patterns, "python")
-    numpy = _backend_fault_records(circuit, faults, patterns, "numpy")
+    python = _fault_records(circuit, faults, patterns, backend="python")
+    numpy = _fault_records(circuit, faults, patterns, backend="numpy")
     assert python == numpy
 
 
@@ -298,8 +298,10 @@ def test_numpy_backend_fault_sim_parity_random_luts(seed, drop):
     circuit = random_dag(6, 40, seed=seed, lut_fraction=0.3)
     patterns = PatternSet.exhaustive(circuit.inputs)
     faults = FaultSimulator(circuit).faults
-    python = _backend_fault_records(circuit, faults, patterns, "python", drop)
-    numpy = _backend_fault_records(circuit, faults, patterns, "numpy", drop)
+    python = _fault_records(circuit, faults, patterns, drop=drop,
+                            backend="python")
+    numpy = _fault_records(circuit, faults, patterns, drop=drop,
+                           backend="numpy")
     assert python == numpy
 
 

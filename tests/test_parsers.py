@@ -11,7 +11,7 @@ from repro.circuit import (
     parse_bench,
     parse_sdl,
 )
-from repro.circuit.bench_parser import load_bench
+from repro.circuit.io import load_bench
 from repro.circuit.sdl import load_sdl, save_sdl
 from repro.circuit.writer import save_bench
 from repro.circuits import c17, sn74181

@@ -244,7 +244,7 @@ class TestEngineProfile:
 class TestConeCacheCounters:
     def test_single_fault_path_counts_hits_and_misses(self):
         circuit = build("c432")
-        simulator = FaultSimulator(circuit, use_kernel=True)
+        simulator = FaultSimulator(circuit)
         patterns = PatternSet.random(circuit.inputs, 32, seed=3)
         good = simulate(circuit, patterns)
         for fault in simulator.faults[:8]:
@@ -257,7 +257,7 @@ class TestConeCacheCounters:
         assert first["budget_elems"] == artifact.cone_cache_budget
         # A fresh simulator shares the compiled artifact, so its cone
         # queries hit the warm cache.
-        resim = FaultSimulator(circuit, use_kernel=True)
+        resim = FaultSimulator(circuit)
         assert resim._compiled is artifact
         for fault in resim.faults[:8]:
             resim.detection_word(fault, good, patterns.mask)
@@ -267,7 +267,7 @@ class TestConeCacheCounters:
 
     def test_budget_overflow_evicts(self):
         circuit = build("c432")
-        simulator = FaultSimulator(circuit, use_kernel=True)
+        simulator = FaultSimulator(circuit)
         patterns = PatternSet.random(circuit.inputs, 16, seed=4)
         good = simulate(circuit, patterns)
         artifact = simulator._compiled
@@ -379,7 +379,7 @@ def test_telemetry_overhead_envelope_on_mul24_fault_sim():
     circuit = build("mul24")
     n_patterns = 64
     patterns = PatternSet.random(circuit.inputs, n_patterns, seed=7)
-    simulator = FaultSimulator(circuit, use_kernel=True)
+    simulator = FaultSimulator(circuit)
     simulator.run(patterns, block_size=n_patterns, drop_detected=False)
 
     def one_run():

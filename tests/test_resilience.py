@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 import threading
 import time
+import types
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.circuit import CircuitBuilder
+from repro.circuit.writer import save_bench
 from repro.errors import (
+    CircuitError,
     InjectedFault,
     JobTimeout,
     ParseError,
@@ -30,6 +34,8 @@ from repro.resilience import (
     parse_spec,
 )
 from repro.resilience.chaos import active_plan, install_from_env, uninstall
+from repro.service.jobs import JobManager
+from repro.telemetry.tracing import export_chrome_trace
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +187,61 @@ def test_journal_missing_file_and_sync(tmp_path):
     journal.put("k", {"v": 1})
     journal.sync()
     assert json.loads(path.read_text(encoding="utf-8")) == {"k": {"v": 1}}
+
+
+# ---------------------------------------------------------------------------
+# Atomic artifact writes
+# ---------------------------------------------------------------------------
+
+def _write_trace(path):
+    # The second event cannot be serialized: json.dump has already
+    # streamed the first one when it raises.
+    export_chrome_trace(str(path), events=[{"name": "ok"}, {"bad": object()}])
+
+
+def _write_bench(path):
+    builder = CircuitBuilder("lut")
+    a, b = builder.inputs("a", "b")
+    builder.output(builder.lut("y", 0b0110, a, b))
+    save_bench(builder.build(), str(path))   # LUTs have no .bench form
+
+
+def _write_journal(path):
+    JobJournal(path).put("job", {"state": object()})
+
+
+def _write_job_profile(path):
+    manager = JobManager(workers=1, trace_dir=str(path.parent))
+    try:
+        job = types.SimpleNamespace(
+            id="j1", state="done",
+            profile_payload={"phases": [1, 2], "bad": object()},
+        )
+        manager._maybe_export_profile(job)
+    finally:
+        manager.shutdown(wait=False)
+
+
+@pytest.mark.parametrize("name, write", [
+    ("trace.json", _write_trace),
+    ("circuit.bench", _write_bench),
+    ("journal.json", _write_journal),
+    ("profile-j1.json", _write_job_profile),
+])
+@pytest.mark.parametrize("previous", ["previous content\n", None])
+def test_failed_artifact_write_keeps_previous_file(tmp_path, name, write,
+                                                   previous):
+    path = tmp_path / name
+    if previous is not None:
+        path.write_text(previous, encoding="utf-8")
+    with pytest.raises((TypeError, CircuitError)):
+        write(path)
+    if previous is None:
+        assert not path.exists()
+    else:
+        assert path.read_text(encoding="utf-8") == previous
+    # No temp file left behind next to the destination.
+    assert sorted(tmp_path.iterdir()) == ([path] if previous else [])
 
 
 # ---------------------------------------------------------------------------

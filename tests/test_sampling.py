@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from sim_reference import ReferenceFaultSimulator, reference_simulate
+
 from repro.api import (
     AnalysisEngine,
     CrossValidationResult,
@@ -31,6 +33,7 @@ from repro.sampling import (
     wilson_interval,
     z_quantile,
 )
+from repro.sampling.montecarlo import _block_seeds
 
 
 SAMPLED = ProtestConfig.preset("sampled")
@@ -134,16 +137,52 @@ def test_sampling_is_seed_deterministic():
     assert other.intervals != a.intervals
 
 
-def test_kernel_and_legacy_sampling_agree():
+def _reference_block_counts(circuit, plan, salt, history, count_block):
+    """Replay a sample's seeded block stream through ``count_block``."""
+    seeds = _block_seeds(plan.seed, salt)
+    counts = {}
+    done = 0
+    for n_total, _halfwidth in history:
+        patterns = PatternSet.random(
+            circuit.inputs, n_total - done, None, next(seeds)
+        )
+        for key, count in count_block(patterns).items():
+            counts[key] = counts.get(key, 0) + count
+        done = n_total
+    return {
+        key: IntervalEstimate.from_counts(
+            count, done, plan.confidence_level, plan.interval_method
+        )
+        for key, count in counts.items()
+    }
+
+
+def test_sampling_matches_reference():
     circuit = build("c17")
-    plan = SamplingPlan(max_patterns=1024, seed=3)
-    kernel = MonteCarloEstimator(
-        circuit, plan=plan, use_kernel=True
-    ).sample_detection_probabilities()
-    legacy = MonteCarloEstimator(
-        circuit, plan=plan, use_kernel=False
-    ).sample_detection_probabilities()
-    assert kernel.intervals == legacy.intervals
+    plan = SamplingPlan(max_patterns=1024, block_size=256, seed=3)
+    estimator = MonteCarloEstimator(circuit, plan=plan)
+    sample = estimator.sample_detection_probabilities()
+    reference = ReferenceFaultSimulator(circuit)
+
+    def detections(patterns):
+        records = reference.records(
+            estimator.faults, patterns, patterns.n_patterns, False
+        )
+        return {fault: record[0] for fault, record in records.items()}
+
+    assert sample.intervals == _reference_block_counts(
+        circuit, plan, "detection", sample.history, detections
+    )
+
+    signal = estimator.sample_signal_probabilities()
+
+    def ones(patterns):
+        values = reference_simulate(circuit, patterns)
+        return {node: word.bit_count() for node, word in values.items()}
+
+    assert signal.intervals == _reference_block_counts(
+        circuit, plan, "signal", signal.history, ones
+    )
 
 
 needs_numpy = pytest.mark.skipif(
